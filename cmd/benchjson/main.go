@@ -5,10 +5,13 @@
 // Input lines it understands look like
 //
 //	BenchmarkE1Suite-8   	      12	  95310417 ns/op	 4240168 B/op	   31456 allocs/op
+//	BenchmarkCostedReplay-2  20  259651 ns/op  1648 ops/replay  8832 B/op  84 allocs/op
 //
-// Everything else (pass/fail markers, package headers, goos/goarch banners)
-// is ignored. The trailing -N GOMAXPROCS suffix is stripped so baselines
-// compare across machines. Output is a single indented JSON object sorted by
+// Columns after the iteration count are value/unit pairs, read by unit:
+// b.ReportMetric columns sit between ns/op and the -benchmem columns and are
+// skipped. Everything else (pass/fail markers, package headers, goos/goarch
+// banners) is ignored. The trailing -N GOMAXPROCS suffix is stripped so
+// baselines compare across machines. Output is a single indented JSON object sorted by
 // benchmark name:
 //
 //	{
@@ -47,11 +50,6 @@ type Measurement struct {
 	Iterations  int64   `json:"iterations"`
 }
 
-// benchLine matches a `testing.B` result row. ns/op is mandatory; the
-// -benchmem columns are optional so plain `-bench` output still parses.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S*)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
-
 // gomaxprocsSuffix is the trailing -N the testing package appends to the
 // benchmark name when GOMAXPROCS > 1.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
@@ -63,29 +61,52 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
-		if m == nil {
-			continue
-		}
-		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, err := strconv.ParseFloat(m[3], 64)
+		name, meas, ok, err := parseLine(sc.Text())
 		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+			return nil, err
 		}
-		meas := Measurement{NsPerOp: ns, Iterations: iters}
-		if m[4] != "" {
-			meas.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
+		if ok {
+			out[name] = meas
 		}
-		if m[5] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		out[name] = meas
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// parseLine reads one `testing.B` result row: the name, the iteration count,
+// then value/unit pairs. ns/op is mandatory; the -benchmem columns are
+// optional so plain `-bench` output still parses. ok is false for lines that
+// are not result rows.
+func parseLine(line string) (name string, meas Measurement, ok bool, err error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", Measurement{}, false, nil
+	}
+	iters, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return "", Measurement{}, false, nil
+	}
+	meas.Iterations = iters
+	for k := 2; k+1 < len(f); k += 2 {
+		value, unit := f[k], f[k+1]
+		switch unit {
+		case "ns/op":
+			meas.NsPerOp, err = strconv.ParseFloat(value, 64)
+			ok = err == nil
+		case "B/op":
+			meas.BytesPerOp, err = strconv.ParseInt(value, 10, 64)
+		case "allocs/op":
+			meas.AllocsPerOp, err = strconv.ParseInt(value, 10, 64)
+		default:
+			continue
+		}
+		if err != nil {
+			return "", Measurement{}, false, fmt.Errorf("bad %s in %q: %w", unit, line, err)
+		}
+	}
+	return gomaxprocsSuffix.ReplaceAllString(f[0], ""), meas, ok, nil
 }
 
 func run(in io.Reader, out io.Writer) error {

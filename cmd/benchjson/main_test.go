@@ -45,6 +45,26 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// Go prints b.ReportMetric columns between ns/op and the -benchmem columns;
+// the memory columns must still be read, by unit rather than by position.
+func TestParseCustomMetricColumns(t *testing.T) {
+	const line = "BenchmarkCostedReplay-2  20  259651 ns/op  1648 ops/replay  8832 B/op  84 allocs/op\n"
+	got, err := parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Measurement{NsPerOp: 259651, BytesPerOp: 8832, AllocsPerOp: 84, Iterations: 20}
+	if cr := got["BenchmarkCostedReplay"]; cr != want {
+		t.Errorf("CostedReplay = %+v, want %+v", cr, want)
+	}
+}
+
+func TestParseRejectsBadValue(t *testing.T) {
+	if _, err := parse(strings.NewReader("BenchmarkX-2  10  12 ns/op  x1 B/op\n")); err == nil {
+		t.Error("unparsable B/op accepted")
+	}
+}
+
 func TestRunEmitsSortedJSON(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(strings.NewReader(sample), &out); err != nil {
