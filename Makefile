@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-race bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report examples cover clean
+.PHONY: all build check test test-race perfbench-test fuzz-smoke bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report examples cover clean
 
 # Explicit bench-compare tolerances (percent growth allowed per metric). CI
 # and local runs share these so the gate's verdict is reproducible.
@@ -27,6 +27,18 @@ test: check
 
 test-race: check
 	$(GO) test -race ./...
+
+# perfbench/ is a module of its own, so the root `go test ./...` skips it.
+# This vets and tests it against the current packages, so a change to an
+# API the benchmark calls breaks here rather than at benchmark time.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Differential fuzz smoke: random guests, hosts and op streams through the
+# map-based oracle, State, StreamValidator and ValidateSharded (every shard
+# count and window) for 30 s. Any verdict divergence or panic fails.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

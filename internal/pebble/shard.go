@@ -35,12 +35,14 @@ import (
 // the error the sequential engine reports. The equivalence suite pins this
 // across shard counts and window sizes.
 //
-// The sharded validator keeps only the "lite" state — possession bitsets
-// plus a generated-pebble bitset — not the holder/generator tables or
-// first-held steps of the full State. That is what makes n = 10⁶ fit in
-// RAM: memory is m·(T+1)·n/8 bytes of bitsets, independent of the number
-// of operations. Accept/reject decisions and error messages are identical
-// to State.ApplyStep; the oracle equivalence suite pins this.
+// With one shard and a one-step window, the same scan/match/settle code is
+// the sequential engine: StreamValidator runs it, and State wraps a
+// StreamValidator, so this file holds the only implementation of the move
+// rules. The validator keeps only the "lite" state — possession bitsets
+// plus a generated-pebble bitset — not State's holder and generator lists.
+// That is what makes n = 10⁶ fit in RAM: memory is m·(T+1)·n/8 bytes of
+// bitsets, independent of the number of operations. The oracle equivalence
+// suite checks the rules against an independent map-based engine.
 
 // StreamStats summarizes a successfully validated stream.
 type StreamStats struct {
@@ -84,13 +86,13 @@ type ShardedOptions struct {
 	Obs *obs.Registry
 }
 
-// error classes, in dense-engine precedence order: any op-scan error beats
-// any unmatched-receive error beats any unmatched-send error, because
-// State.ApplyStep scans all ops before matching and matches receives before
-// checking leftover sends. Across a window, an earlier step's error of any
-// class beats a later step's: the sequential engine never reaches the later
-// step. Within a class the smallest op index wins — exactly the op the
-// sequential engine would have tripped on first.
+// error classes, in the sequential engine's precedence order: any op-scan
+// error beats any unmatched-receive error beats any unmatched-send error,
+// because a one-step window scans all ops before matching and matches
+// receives before checking leftover sends. Across a window, an earlier
+// step's error of any class beats a later step's: the sequential engine
+// never reaches the later step. Within a class the smallest op index wins —
+// exactly the op the sequential engine would have tripped on first.
 const (
 	errClassNone = iota
 	errClassScan
@@ -149,7 +151,6 @@ type shardedValidator struct {
 	sendConsumed []int32
 
 	shardOf []int32 // processor → owning shard
-	lo, hi  []int   // shard → owned processor range [lo, hi)
 
 	// The published window: winSteps steps flattened into winOps, step j
 	// being winOps[winStart[j]:winStart[j+1]]. In the sequential path
@@ -162,9 +163,12 @@ type shardedValidator struct {
 	stepBase int
 	done     bool
 
-	// Per-shard window results, reset by each shard at scan entry.
+	// Per-shard window results, reset by each shard at scan entry: the
+	// shard's earliest error, its receives, and the send-table slots it
+	// registered, both in (step, op) order.
 	errs  []winError
 	recvs [][]recvRec
+	sends [][]int32
 
 	genCount, sendCount, recvCount []int64
 
@@ -213,54 +217,54 @@ func checkSpec(sp Spec) error {
 }
 
 // ValidateSharded replays a protocol stream against the lite sharded state
-// and returns its stats. Accept/reject decisions — and the error for a
-// rejected stream — are identical to sequential validation with
-// State.ApplyStep (errors wrapped as "pebble: host step %d: ..."), and the
-// final-generator check matches Validate. Source errors are returned
+// and returns its stats. With one shard it drains a StreamValidator — the
+// sequential core that State also wraps. With more, verdicts are
+// byte-identical to that core's (errors wrapped as "pebble: host step %d:
+// ..."), and so is the final-generator check. Source errors are returned
 // verbatim.
 func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats, error) {
-	shards := opts.Shards
-	window := opts.Window
-	if window < 1 {
-		window = defaultBarrierWindow
+	if err := checkSpec(sp); err != nil {
+		return nil, err
 	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards := min(max(opts.Shards, 1), sp.Host.N())
+	var stats *StreamStats
 	if shards == 1 {
-		window = 1 // the sequential path needs no batching arena
-	}
-	v, err := newShardedValidator(sp, shards, window)
-	if err != nil {
-		return nil, err
-	}
-	stats := &StreamStats{}
-	var runErr error
-	if v.shards == 1 {
-		runErr = v.runSequential(src, stats)
+		sv := &StreamValidator{v: newShardedValidator(sp, 1, 1)}
+		if err := drain(src, sv); err != nil {
+			return nil, err
+		}
+		var err error
+		if stats, err = sv.Finish(); err != nil {
+			return nil, err
+		}
 	} else {
-		runErr = v.runParallel(src, stats)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := v.finish(stats); err != nil {
-		return nil, err
+		window := opts.Window
+		if window < 1 {
+			window = defaultBarrierWindow
+		}
+		v := newShardedValidator(sp, shards, window)
+		stats = &StreamStats{}
+		if err := v.runParallel(src, stats); err != nil {
+			return nil, err
+		}
+		if err := v.finish(stats); err != nil {
+			return nil, err
+		}
 	}
 	observeStream(opts.Obs, stats)
 	return stats, nil
 }
 
-func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error) {
-	if err := checkSpec(sp); err != nil {
-		return nil, err
-	}
+// newShardedValidator builds the state for a spec checkSpec accepted.
+// shards is clamped to [1, m]; a zero-processor host gets one empty shard,
+// so every op it sees is out of range.
+func newShardedValidator(sp Spec, shards, window int) *shardedValidator {
 	n, m := sp.Guest.N(), sp.Host.N()
-	if shards < 1 {
-		shards = 1
-	}
 	if shards > m {
 		shards = m
+	}
+	if shards < 1 {
+		shards = 1
 	}
 	if window < 1 {
 		window = 1
@@ -288,24 +292,24 @@ func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error)
 		sendConsumed: make([]int32, m*window),
 
 		shardOf: make([]int32, m),
-		lo:      make([]int, shards),
-		hi:      make([]int, shards),
 
 		winStart: make([]int32, window+1),
 
 		errs:      make([]winError, shards),
 		recvs:     make([][]recvRec, shards),
+		sends:     make([][]int32, shards),
 		genCount:  make([]int64, shards),
 		sendCount: make([]int64, shards),
 		recvCount: make([]int64, shards),
 	}
 	for s := 0; s < shards; s++ {
 		v.generated[s] = make([]uint64, words)
-		v.lo[s] = s * m / shards
-		v.hi[s] = (s + 1) * m / shards
-		for q := v.lo[s]; q < v.hi[s]; q++ {
+		lo, hi := s*m/shards, (s+1)*m/shards
+		for q := lo; q < hi; q++ {
 			v.shardOf[q] = int32(s)
 		}
+		// An owned processor registers at most one send per step.
+		v.sends[s] = make([]int32, 0, (hi-lo)*window)
 	}
 	// Start configuration: every processor holds all (P_i, 0) pebbles.
 	for q := 0; q < m; q++ {
@@ -317,8 +321,7 @@ func newShardedValidator(sp Spec, shards, window int) (*shardedValidator, error)
 			row[n/64] |= 1<<r - 1
 		}
 	}
-
-	return v, nil
+	return v
 }
 
 // finish runs the final-generator check (merged across shard bitsets) and
@@ -359,13 +362,16 @@ func observeStream(reg *obs.Registry, stats *StreamStats) {
 	reg.Gauge("pebble.stream.max_step_ops").SetMax(int64(stats.MaxStepOps))
 }
 
-// StreamValidator is the incremental form of sequential ValidateSharded: an
-// explicit push-style StepSink that validates one host step per AppendStep
-// call against the lite bitset state. Verdicts — per-step errors and the
-// Finish-time final-generator check — are byte-identical to ValidateSharded
-// by construction: both run the same scan/match/settle code on the same
-// state. Cost-model layers (internal/redblue) embed it so their replay can
+// StreamValidator is the sequential legality engine: an explicit push-style
+// StepSink that validates one host step per AppendStep call against the
+// lite bitset state. It is the only sequential implementation of the move
+// rules. ValidateSharded drains one when it runs a single shard, State
+// wraps one and records its analysis tables after each accepted step, and
+// cost-model layers (internal/redblue) embed one so their replay can
 // interleave accounting with validation without re-buffering the stream.
+// Verdicts — per-step errors and the Finish-time final-generator check —
+// are byte-identical to the parallel ValidateSharded (see the package
+// comment).
 type StreamValidator struct {
 	v     *shardedValidator
 	stats StreamStats
@@ -375,11 +381,10 @@ type StreamValidator struct {
 // NewStreamValidator builds an incremental validator for sp, rejecting
 // degenerate specs (nil graphs, zero processors, negative horizons).
 func NewStreamValidator(sp Spec) (*StreamValidator, error) {
-	v, err := newShardedValidator(sp, 1, 1)
-	if err != nil {
+	if err := checkSpec(sp); err != nil {
 		return nil, err
 	}
-	return &StreamValidator{v: v}, nil
+	return &StreamValidator{v: newShardedValidator(sp, 1, 1)}, nil
 }
 
 // AppendStep validates one host step. The ops slice is only read during the
@@ -429,22 +434,6 @@ func (v *shardedValidator) applyStepSeq(ops []Op) error {
 	}
 	v.winOps = nil
 	return err
-}
-
-func (v *shardedValidator) runSequential(src StepSource, stats *StreamStats) error {
-	for {
-		ops, err := src.NextStep()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if e := v.applyStepSeq(ops); e != nil {
-			return e
-		}
-		v.recordStep(stats, len(ops))
-	}
 }
 
 // stampOf is the liveness stamp of window step j: its global 1-based host
@@ -593,19 +582,19 @@ func (v *shardedValidator) fail(s, step, class, opIdx int, err error) {
 
 // scanWindow is phase 1: per-op checks, send registration, and optimistic
 // gains for every step of the window, restricted to ops whose processor the
-// shard owns, in (step, op) order. Mirrors the scan loop of State.ApplyStep,
-// including error messages. Gains (Generate results and Receive pebbles)
-// are applied to the possession bitsets immediately: they touch only the
-// gaining processor's row, which only this shard scans, so within the shard
-// step j+1 sees exactly the sequential engine's state — and unverified
-// Receive gains are safe because a failed match always records an error
-// that aborts the stream before the state is observed again. On the shard's
-// first error the scan stops: later ops of this shard are unreachable for
-// the sequential engine too, and cross-shard effects are screened by the
-// (step, class) ordering.
+// shard owns, in (step, op) order. Gains (Generate results and Receive
+// pebbles) are applied to the possession bitsets immediately: they touch
+// only the gaining processor's row, which only this shard scans, so within
+// the shard step j+1 sees exactly the sequential engine's state — and
+// unverified Receive gains are safe because a failed match always records
+// an error that aborts the stream before the state is observed again. On
+// the shard's first error the scan stops: later ops of this shard are
+// unreachable for the sequential engine too, and cross-shard effects are
+// screened by the (step, class) ordering.
 func (v *shardedValidator) scanWindow(s int) {
 	v.errs[s] = winError{}
 	v.recvs[s] = v.recvs[s][:0]
+	v.sends[s] = v.sends[s][:0]
 	for j := 0; j < v.winSteps; j++ {
 		ops := v.winOps[v.winStart[j]:v.winStart[j+1]]
 		stamp := v.stampOf(j)
@@ -649,6 +638,7 @@ func (v *shardedValidator) scanWindow(s int) {
 				v.sendTo[slot] = int32(op.Peer)
 				v.sendID[slot] = int32(id)
 				v.sendOpIdx[slot] = int32(oi)
+				v.sends[s] = append(v.sends[s], int32(slot))
 				v.sendCount[s]++
 			case Receive:
 				v.recvs[s] = append(v.recvs[s], recvRec{
@@ -698,30 +688,21 @@ func (v *shardedValidator) matchWindow(s int) {
 	}
 }
 
-// settleWindow is phase 3: report the shard's unmatched sends, earliest
-// step first, smallest op index within the step — the sequential engine's
-// pick.
+// settleWindow is phase 3: report the shard's first unmatched send in
+// (step, op) order — earliest step first, smallest op index within the
+// step, the sequential engine's pick. A slot is consumed iff phase 2 wrote
+// its own step's stamp into sendConsumed.
 func (v *shardedValidator) settleWindow(s int) {
-	for j := 0; j < v.winSteps; j++ {
-		stamp := v.stampOf(j)
-		jm := j * v.m
-		bestIdx, bestFrom := int32(-1), -1
-		for q := v.lo[s]; q < v.hi[s]; q++ {
-			slot := jm + q
-			if v.sendStamp[slot] == stamp && v.sendConsumed[slot] != stamp {
-				if bestIdx < 0 || v.sendOpIdx[slot] < bestIdx {
-					bestIdx, bestFrom = v.sendOpIdx[slot], q
-				}
-			}
+	for _, slot := range v.sends[s] {
+		stamp := v.sendStamp[slot]
+		if v.sendConsumed[slot] == stamp {
+			continue
 		}
-		if bestFrom >= 0 {
-			slot := jm + bestFrom
-			id := int(v.sendID[slot])
-			pb := Type{P: id % v.n, T: id / v.n}
-			v.fail(s, int(stamp), errClassSend, int(bestIdx),
-				fmt.Errorf("send of %v from %d to %d has no matching receive", pb, bestFrom, v.sendTo[slot]))
-			return
-		}
+		id := int(v.sendID[slot])
+		pb := Type{P: id % v.n, T: id / v.n}
+		v.fail(s, int(stamp), errClassSend, int(v.sendOpIdx[slot]),
+			fmt.Errorf("send of %v from %d to %d has no matching receive", pb, int(slot)%v.m, v.sendTo[slot]))
+		return
 	}
 }
 

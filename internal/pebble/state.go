@@ -1,123 +1,87 @@
 package pebble
 
 import (
-	"fmt"
+	"errors"
 	"math/bits"
 	"sort"
 
 	"universalnet/internal/graph"
 )
 
-// State tracks a pebble-game execution: which processors contain which
-// pebbles, who generated what, and when each generator first obtained each
-// pebble (for the frontier analysis of Definition 3.16).
+// State tracks a pebble-game execution for the lemma analyses: which
+// processors contain which pebbles, who generated what, and when each holder
+// first obtained its pebble (for the frontier analysis of Definition 3.16).
 //
-// Storage is dense and ID-indexed: over the known horizon [0, T], pebble
-// (P_i, t) maps to the integer id = t·n + i, so possession is one bitset per
-// host processor and the per-pebble tables (holders, generators, first-held
-// steps) are flat arrays indexed by id. ApplyStep keeps per-State scratch —
-// a step-stamped busy array and reusable send/receive/gain buffers — so a
-// warm replay performs no allocations beyond the pebble placements
-// themselves. See DESIGN.md §2 ("Pebble state representation").
+// State checks no move rule itself. It wraps the sequential core that
+// StreamValidator and ValidateSharded run (shard.go), so its verdicts are
+// theirs by construction and possession is read from the core's bitset
+// rows. After the core accepts a step, State records what the analyses
+// query: per pebble, the list of its holders and the list of its
+// generators. Pebble (P_i, t) has the dense id t·n + i over the horizon
+// [0, T], and both lists are flat arrays indexed by id. See DESIGN.md §2
+// ("Pebble state representation").
+//
+// A rejected step is sticky. The core applies gains during its scan, so
+// after a rejection ApplyStep returns the same error on every call and the
+// possession queries may reflect part of the rejected step.
 type State struct {
 	guest *graph.Graph
 	host  *graph.Graph
 	T     int
 
-	n, m   int
-	numIDs int // (T+1)·n pebble ids; id(i, t) = t·n + i
-	words  int // bitset words per host processor
+	n, m int
 
-	// contains packs m bitsets of numIDs bits: processor q holds pebble id
-	// iff bit id of contains[q·words : (q+1)·words] is set.
-	contains []uint64
+	// sv validates every step and owns the possession bitsets.
+	sv StreamValidator
 
 	// holders is a per-id singly linked list threaded through holderEntries
-	// (gain order), with holderCount the list length. Initial pebbles (t = 0)
-	// are held by every processor from the start and can never be gained
-	// again; they carry count = m and no list entries.
+	// (newest first), with holderCount the list length. Each entry records
+	// the host step at which its processor first held the pebble. Initial
+	// pebbles (t = 0) are held by every processor from the start and can
+	// never be gained again; they carry count = m and no list entries.
 	holderHead    []int32
 	holderCount   []int32
 	holderEntries []holderEntry
 
 	// generators is the same linked-list layout for Q'_S: one entry per
-	// (pebble, processor) pair that executed Generate, recording the host
-	// step of the first generation (duplicates keep the first).
+	// (pebble, processor) pair that executed Generate.
 	genHead    []int32
 	genCount   []int32
 	genEntries []genEntry
 
-	// firstHeld[q·numIDs + id] is the host step at which q first obtained
-	// the pebble; meaningful only while the contains bit is set (0 for
-	// initial pebbles).
-	firstHeld []int32
-
-	// step counts applied host steps.
-	step int
-
-	// Scratch reused across ApplyStep calls, so the warm path allocates
-	// nothing: busyStamp[q] == int32(step) marks q as having acted this
-	// step; sendRecs/recvOps/gains are truncated and refilled per step.
-	busyStamp []int32
-	sendRecs  []sendRec
-	recvOps   []Op
-	gains     []gainRec
-
 	// frontierVals[t] caches the sorted jump points of e_t(·) — the minima
-	// over generators of firstHeld — so FrontierSize is a binary search and
-	// FrontierThresholdStep a single lookup. frontierStep[t] records the
-	// host step the cache was built at; any ApplyStep invalidates it.
+	// over generators of the first-held step — so FrontierSize is a binary
+	// search and FrontierThresholdStep a single lookup. frontierStep[t]
+	// records the host step the cache was built at; any accepted step
+	// invalidates it.
 	frontierVals [][]int32
 	frontierStep []int
 }
 
-type holderEntry struct{ proc, next int32 }
+type holderEntry struct{ proc, step, next int32 }
 
-type genEntry struct{ proc, step, next int32 }
-
-type sendRec struct {
-	from, to int32
-	id       int32
-	count    int32
-}
-
-type gainRec struct{ q, id int32 }
+type genEntry struct{ proc, next int32 }
 
 // NewState initializes the start configuration: every host processor holds
 // all initial pebbles (P_i, 0).
 func NewState(guest, host *graph.Graph, T int) *State {
 	n, m := guest.N(), host.N()
 	numIDs := (T + 1) * n
-	words := (numIDs + 63) / 64
 	st := &State{
 		guest:       guest,
 		host:        host,
 		T:           T,
 		n:           n,
 		m:           m,
-		numIDs:      numIDs,
-		words:       words,
-		contains:    make([]uint64, m*words),
+		sv:          StreamValidator{v: newShardedValidator(Spec{Guest: guest, Host: host, T: T}, 1, 1)},
 		holderHead:  make([]int32, numIDs),
 		holderCount: make([]int32, numIDs),
 		genHead:     make([]int32, numIDs),
 		genCount:    make([]int32, numIDs),
-		firstHeld:   make([]int32, m*numIDs),
-		busyStamp:   make([]int32, m),
 	}
 	for id := 0; id < numIDs; id++ {
 		st.holderHead[id] = -1
 		st.genHead[id] = -1
-	}
-	// The t = 0 row: ids 0..n−1 set on every processor, count m each.
-	for q := 0; q < m; q++ {
-		row := st.contains[q*words : (q+1)*words]
-		for w := 0; w < n/64; w++ {
-			row[w] = ^uint64(0)
-		}
-		if r := uint(n) & 63; r != 0 {
-			row[n/64] |= 1<<r - 1
-		}
 	}
 	for i := 0; i < n; i++ {
 		st.holderCount[i] = int32(m)
@@ -125,162 +89,86 @@ func NewState(guest, host *graph.Graph, T int) *State {
 	return st
 }
 
-// id maps an in-horizon pebble type to its dense id.
-func (st *State) id(ty Type) int { return ty.T*st.n + ty.P }
-
-// idOf maps ty to its dense id, reporting false when ty lies outside the
-// horizon (no such pebble can ever exist).
-func (st *State) idOf(ty Type) (int, bool) {
-	if ty.P < 0 || ty.P >= st.n || ty.T < 0 || ty.T > st.T {
-		return 0, false
-	}
-	return ty.T*st.n + ty.P, true
-}
-
-func (st *State) bit(q, id int) bool {
-	return st.contains[q*st.words+id>>6]&(1<<(uint(id)&63)) != 0
-}
-
-func (st *State) setBit(q, id int) {
-	st.contains[q*st.words+id>>6] |= 1 << (uint(id) & 63)
-}
-
-// HostStep returns the number of host steps applied so far.
-func (st *State) HostStep() int { return st.step }
+// HostStep returns the number of host steps accepted so far.
+func (st *State) HostStep() int { return st.sv.Steps() }
 
 // Contains reports whether processor q holds pebble ty.
 func (st *State) Contains(q int, ty Type) bool {
-	id, ok := st.idOf(ty)
-	return ok && st.bit(q, id)
+	id, ok := st.sv.v.idOf(ty)
+	return ok && st.sv.v.bit(q, id)
 }
 
 // hasGenerator reports whether some processor generated ty.
 func (st *State) hasGenerator(ty Type) bool {
-	id, ok := st.idOf(ty)
+	id, ok := st.sv.v.idOf(ty)
 	return ok && st.genCount[id] > 0
 }
 
-// addGenerator records that q executed Generate for id at the current step;
-// a duplicate generation by the same processor keeps the first step.
+// addGenerator records that q executed Generate for id; a duplicate
+// generation by the same processor is recorded once.
 func (st *State) addGenerator(id, q int) {
 	for e := st.genHead[id]; e >= 0; e = st.genEntries[e].next {
 		if int(st.genEntries[e].proc) == q {
 			return
 		}
 	}
-	st.genEntries = append(st.genEntries, genEntry{
-		proc: int32(q), step: int32(st.step), next: st.genHead[id],
-	})
+	st.genEntries = append(st.genEntries, genEntry{proc: int32(q), next: st.genHead[id]})
 	st.genHead[id] = int32(len(st.genEntries) - 1)
 	st.genCount[id]++
 }
 
-// ApplyStep validates and applies one host step's operations.
+// ApplyStep validates and applies one host step's operations. The error is
+// the bare rule violation; after one, every later call returns it again.
 func (st *State) ApplyStep(ops []Op) error {
-	st.step++
-	stamp := int32(st.step)
-	st.sendRecs = st.sendRecs[:0]
-	st.recvOps = st.recvOps[:0]
-	st.gains = st.gains[:0]
+	return errors.Unwrap(st.apply(ops))
+}
 
+// apply runs one step through the core and, once the core accepts it,
+// records the step's first gains and generations. Errors keep the core's
+// "pebble: host step N:" prefix. A first gain is an op whose processor does
+// not hold the pebble before the step, read off the core's bits before the
+// core sees the step. Until the verdict it waits at the tail of
+// holderEntries with its pebble id in next.
+func (st *State) apply(ops []Op) error {
+	v := st.sv.v
+	step := int32(st.sv.Steps() + 1)
+	pending := len(st.holderEntries)
 	for _, op := range ops {
-		if op.Proc < 0 || op.Proc >= st.m {
-			return fmt.Errorf("processor %d out of range", op.Proc)
+		if op.Kind != Generate && op.Kind != Receive || op.Proc < 0 || op.Proc >= st.m {
+			continue
 		}
-		if st.busyStamp[op.Proc] == stamp {
-			return fmt.Errorf("processor %d performs two operations", op.Proc)
-		}
-		st.busyStamp[op.Proc] = stamp
-		switch op.Kind {
-		case Generate:
-			if err := st.checkGenerate(op.Proc, op.Pebble); err != nil {
-				return err
-			}
-			id := st.id(op.Pebble)
-			st.gains = append(st.gains, gainRec{q: int32(op.Proc), id: int32(id)})
-			st.addGenerator(id, op.Proc)
-		case Send:
-			if !st.host.HasEdge(op.Proc, op.Peer) {
-				return fmt.Errorf("send %v along non-edge %d→%d", op.Pebble, op.Proc, op.Peer)
-			}
-			id, ok := st.idOf(op.Pebble)
-			if !ok || !st.bit(op.Proc, id) {
-				return fmt.Errorf("processor %d sends pebble %v it does not hold", op.Proc, op.Pebble)
-			}
-			st.sendRecs = append(st.sendRecs, sendRec{
-				from: int32(op.Proc), to: int32(op.Peer), id: int32(id), count: 1,
-			})
-		case Receive:
-			st.recvOps = append(st.recvOps, op)
-		default:
-			return fmt.Errorf("unknown op kind %v", op.Kind)
+		if id, ok := v.idOf(op.Pebble); ok && !v.bit(op.Proc, id) {
+			st.holderEntries = append(st.holderEntries, holderEntry{proc: int32(op.Proc), step: step, next: int32(id)})
 		}
 	}
-	// Pair sends and receives: a receive must match a send of the same
-	// pebble along the reverse edge in this step. Steps are small (at most
-	// one op per processor), so a linear scan beats any map.
-	for _, op := range st.recvOps {
-		matched := false
-		if id, ok := st.idOf(op.Pebble); ok {
-			for ri := range st.sendRecs {
-				r := &st.sendRecs[ri]
-				if r.count > 0 && int(r.from) == op.Peer && int(r.to) == op.Proc && int(r.id) == id {
-					r.count--
-					matched = true
-					break
-				}
-			}
-			if matched {
-				st.gains = append(st.gains, gainRec{q: int32(op.Proc), id: int32(id)})
-			}
-		}
-		if !matched {
-			return fmt.Errorf("processor %d receives %v from %d without a matching send", op.Proc, op.Pebble, op.Peer)
-		}
+	if err := st.sv.AppendStep(ops); err != nil {
+		st.holderEntries = st.holderEntries[:pending]
+		return err
 	}
-	for _, r := range st.sendRecs {
-		if r.count > 0 {
-			pb := Type{P: int(r.id) % st.n, T: int(r.id) / st.n}
-			return fmt.Errorf("send of %v from %d to %d has no matching receive", pb, r.from, r.to)
-		}
+	for e := pending; e < len(st.holderEntries); e++ {
+		id := st.holderEntries[e].next
+		st.holderEntries[e].next = st.holderHead[id]
+		st.holderHead[id] = int32(e)
+		st.holderCount[id]++
 	}
-	// Apply gains after all checks (synchronous step semantics).
-	for _, g := range st.gains {
-		q, id := int(g.q), int(g.id)
-		if !st.bit(q, id) {
-			st.setBit(q, id)
-			st.holderEntries = append(st.holderEntries, holderEntry{proc: g.q, next: st.holderHead[id]})
-			st.holderHead[id] = int32(len(st.holderEntries) - 1)
-			st.holderCount[id]++
-			st.firstHeld[q*st.numIDs+id] = int32(st.step)
+	for _, op := range ops {
+		if op.Kind == Generate {
+			st.addGenerator(op.Pebble.T*st.n+op.Pebble.P, op.Proc)
 		}
 	}
 	return nil
 }
 
-func (st *State) checkGenerate(q int, ty Type) error {
-	if ty.T < 1 || ty.T > st.T {
-		return fmt.Errorf("generate %v outside guest horizon [1,%d]", ty, st.T)
-	}
-	if ty.P < 0 || ty.P >= st.n {
-		return fmt.Errorf("generate %v: no such guest processor", ty)
-	}
-	base := (ty.T - 1) * st.n
-	if !st.bit(q, base+ty.P) {
-		return fmt.Errorf("generate %v on %d: missing predecessor %v", ty, q, Type{P: ty.P, T: ty.T - 1})
-	}
-	for _, j := range st.guest.Neighbors(ty.P) {
-		if !st.bit(q, base+j) {
-			return fmt.Errorf("generate %v on %d: missing predecessor %v", ty, q, Type{P: j, T: ty.T - 1})
-		}
-	}
-	return nil
-}
+// stateSink feeds a State from a stream, keeping the core's step-numbered
+// errors.
+type stateSink struct{ st *State }
+
+func (s stateSink) AppendStep(ops []Op) error { return s.st.apply(ops) }
 
 // Representatives returns Q_S(i, t): the processors holding pebble (P_i, t)
 // at the current point of the protocol, sorted.
 func (st *State) Representatives(i, t int) []int {
-	id, ok := st.idOf(Type{P: i, T: t})
+	id, ok := st.sv.v.idOf(Type{P: i, T: t})
 	if !ok || st.holderCount[id] == 0 {
 		return nil
 	}
@@ -302,7 +190,7 @@ func (st *State) Representatives(i, t int) []int {
 // Generators returns Q'_S(i, t): the processors that generated (P_i, t+1)
 // (necessarily members of Q_S(i, t)), sorted.
 func (st *State) Generators(i, t int) []int {
-	id, ok := st.idOf(Type{P: i, T: t + 1})
+	id, ok := st.sv.v.idOf(Type{P: i, T: t + 1})
 	if !ok || st.genCount[id] == 0 {
 		return nil
 	}
@@ -316,7 +204,7 @@ func (st *State) Generators(i, t int) []int {
 
 // Weight returns q_{i,t} = |Q_S(i,t)| (Definition 3.11).
 func (st *State) Weight(i, t int) int {
-	id, ok := st.idOf(Type{P: i, T: t})
+	id, ok := st.sv.v.idOf(Type{P: i, T: t})
 	if !ok {
 		return 0
 	}
@@ -355,7 +243,7 @@ func (st *State) GuestsOnProcessor(j, t int) []int {
 	var out []int
 	base := t * st.n
 	for i := 0; i < st.n; i++ {
-		if st.bit(j, base+i) {
+		if st.sv.v.bit(j, base+i) {
 			out = append(out, i)
 		}
 	}
@@ -368,8 +256,9 @@ func (st *State) guestsOnCount(j, t int) int {
 	if t < 0 || t > st.T {
 		return 0
 	}
+	v := st.sv.v
 	lo, hi := t*st.n, (t+1)*st.n
-	row := st.contains[j*st.words : (j+1)*st.words]
+	row := v.contains[j*v.words : (j+1)*v.words]
 	count := 0
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {
 		word := row[w]
@@ -386,10 +275,24 @@ func (st *State) guestsOnCount(j, t int) int {
 	return count
 }
 
+// heldSince returns the host step at which q first held pebble id: 0 for
+// an initial pebble, otherwise the step in q's entry of the holder list.
+func (st *State) heldSince(q int32, id int) (int32, bool) {
+	if id < st.n {
+		return 0, true
+	}
+	for e := st.holderHead[id]; e >= 0; e = st.holderEntries[e].next {
+		if st.holderEntries[e].proc == q {
+			return st.holderEntries[e].step, true
+		}
+	}
+	return 0, false
+}
+
 // frontierFor returns the sorted jump points of e_t(·): for each guest i
 // with a generating pebble of type (P_i, t), the earliest host step at which
 // some eventual generator of (P_i, t+1) first held (P_i, t). Rebuilt lazily
-// after each applied host step, then served from cache.
+// after each accepted host step, then served from cache.
 func (st *State) frontierFor(t int) []int32 {
 	if st.frontierVals == nil {
 		st.frontierVals = make([][]int32, st.T+1)
@@ -398,7 +301,7 @@ func (st *State) frontierFor(t int) []int32 {
 			st.frontierStep[i] = -1
 		}
 	}
-	if st.frontierStep[t] == st.step {
+	if st.frontierStep[t] == st.HostStep() {
 		return st.frontierVals[t]
 	}
 	vals := st.frontierVals[t][:0]
@@ -406,11 +309,8 @@ func (st *State) frontierFor(t int) []int32 {
 	for i := 0; i < st.n; i++ {
 		best := int32(-1)
 		for e := st.genHead[base+st.n+i]; e >= 0; e = st.genEntries[e].next {
-			q := int(st.genEntries[e].proc)
-			if st.bit(q, base+i) {
-				if f := st.firstHeld[q*st.numIDs+base+i]; best < 0 || f < best {
-					best = f
-				}
+			if f, ok := st.heldSince(st.genEntries[e].proc, base+i); ok && (best < 0 || f < best) {
+				best = f
 			}
 		}
 		if best >= 0 {
@@ -419,7 +319,7 @@ func (st *State) frontierFor(t int) []int32 {
 	}
 	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 	st.frontierVals[t] = vals
-	st.frontierStep[t] = st.step
+	st.frontierStep[t] = st.HostStep()
 	return vals
 }
 

@@ -2,7 +2,6 @@ package pebble
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -147,44 +146,43 @@ func (t *teeSink) AppendStepSegments(segs [][]Op) error {
 // suite keep working unchanged on chunked or piped protocols at small n.
 func Materialize(sp Spec, src StepSource) (*Protocol, error) {
 	pr := &Protocol{Guest: sp.Guest, Host: sp.Host, T: sp.T}
-	sink := &ProtocolSink{Proto: pr}
+	if err := drain(src, &ProtocolSink{Proto: pr}); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
+
+// drain feeds every step of src to sink, stopping at the first error.
+func drain(src StepSource, sink StepSink) error {
 	for {
 		ops, err := src.NextStep()
 		if err == io.EOF {
-			return pr, nil
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := sink.AppendStep(ops); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
 
-// ValidateSource replays a stream against the full dense State, exactly as
+// ValidateSource replays a stream through a State, exactly as
 // Protocol.Validate does for materialized steps, and returns the final
-// state. Errors carry the same messages as Validate.
+// state. Its verdicts are StreamValidator's: the same degenerate-spec
+// errors, "pebble: host step N: …" for a rejected step, and the same
+// final-generator check.
 func ValidateSource(sp Spec, src StepSource) (*State, error) {
-	st := NewState(sp.Guest, sp.Host, sp.T)
-	step := 0
-	for {
-		ops, err := src.NextStep()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		step++
-		if err := st.ApplyStep(ops); err != nil {
-			return nil, fmt.Errorf("pebble: host step %d: %w", step, err)
-		}
+	if err := checkSpec(sp); err != nil {
+		return nil, err
 	}
-	for i := 0; i < sp.Guest.N(); i++ {
-		if !st.hasGenerator(Type{P: i, T: sp.T}) {
-			return nil, fmt.Errorf("pebble: final pebble (P%d,t%d) never generated", i, sp.T)
-		}
+	st := NewState(sp.Guest, sp.Host, sp.T)
+	if err := drain(src, stateSink{st}); err != nil {
+		return nil, err
+	}
+	if _, err := st.sv.Finish(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -89,13 +89,9 @@ type Service struct {
 	jobs   chan func()
 	wg     sync.WaitGroup
 
-	latency    *obs.Histogram
 	tele       *telemetry   // per-(endpoint,route,stage) histograms; nil without a registry
 	encodeErrs *obs.Counter // response-encode failures (writeJSON)
 }
-
-// latencyBuckets bounds the request-latency histogram in milliseconds.
-var latencyBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // New starts a Service: the worker pool runs until Close.
 func New(cfg Config) *Service {
@@ -108,7 +104,6 @@ func New(cfg Config) *Service {
 		schedules: routing.NewScheduleCache(cfg.CacheBudget, cfg.Obs),
 		jobs:      make(chan func(), cfg.QueueDepth),
 	}
-	s.latency = cfg.Obs.Histogram("service.latency_ms", latencyBuckets)
 	s.tele = newTelemetry(cfg.Obs)
 	s.encodeErrs = cfg.Obs.Counter("service.encode_errors")
 	cfg.Obs.Gauge("service.workers").Set(int64(cfg.Workers))
@@ -178,16 +173,14 @@ func (s *Service) submit(job func()) error {
 
 // do is the request spine shared by Embed/Route/Simulate: fast-path cache
 // hit, admission, singleflight-coalesced compute on a worker, deadline
-// enforcement, and latency/outcome accounting. Returns the result and
+// enforcement, and outcome accounting. Returns the result and
 // whether it came from cache without computing.
 func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, compute func() (any, error)) (any, bool, error) {
 	s.obs.Counter("service." + kind + ".requests").Inc()
-	start := s.obs.Now()
 	rt := timingsFrom(ctx)
 	peekStart := time.Now()
 	if v, ok := s.results.Peek(key); ok {
 		rt.record(stageCache, peekStart)
-		s.observe(start)
 		return v, true, nil
 	}
 	deadline := s.cfg.DefaultDeadline
@@ -229,7 +222,6 @@ func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, comp
 			s.obs.Counter("service.errors").Inc()
 			return nil, false, out.err
 		}
-		s.observe(start)
 		s.obs.Counter("service.completed").Inc()
 		return out.v, false, nil
 	case <-ctx.Done():
@@ -238,11 +230,6 @@ func (s *Service) do(ctx context.Context, kind, key string, deadlineMS int, comp
 		s.obs.Counter("service.deadline_exceeded").Inc()
 		return nil, false, fmt.Errorf("service: request deadline: %w", ctx.Err())
 	}
-}
-
-// observe records one completed request's wall-clock latency.
-func (s *Service) observe(start time.Time) {
-	s.latency.Observe(s.obs.Now().Sub(start).Milliseconds())
 }
 
 // StageLatency is one (endpoint, route, stage) row of server-side latency
