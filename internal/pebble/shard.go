@@ -255,20 +255,12 @@ func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats
 	return stats, nil
 }
 
-// newShardedValidator builds the state for a spec checkSpec accepted.
-// shards is clamped to [1, m]; a zero-processor host gets one empty shard,
-// so every op it sees is out of range.
+// newShardedValidator builds the state for shards processor ranges and
+// window-step barrier rounds. Callers pass 1 ≤ shards ≤ max(m, 1) and
+// window ≥ 1; a zero-processor host (State accepts one) gets one empty
+// shard, so every op it sees is out of range.
 func newShardedValidator(sp Spec, shards, window int) *shardedValidator {
 	n, m := sp.Guest.N(), sp.Host.N()
-	if shards > m {
-		shards = m
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if window < 1 {
-		window = 1
-	}
 	numIDs := (sp.T + 1) * n
 	words := (numIDs + 63) / 64
 	v := &shardedValidator{
