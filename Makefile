@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-race perfbench-test fuzz-smoke bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report examples cover clean
+.PHONY: all build check test test-race perfbench-test fuzz-smoke bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report report-golden examples cover clean
 
 # Explicit bench-compare tolerances (percent growth allowed per metric). CI
 # and local runs share these so the gate's verdict is reproducible.
@@ -111,6 +111,13 @@ redblue-smoke:
 # Pass flags through REPORT_FLAGS, e.g. `make report REPORT_FLAGS="-parallel 0"`.
 report: build
 	$(GO) run ./cmd/uninet report $(REPORT_FLAGS)
+
+# Rewrite the report that TestReportGolden (internal/experiments) pins. Run
+# it after an intended change to an experiment's output and commit the diff.
+REPORT_GOLDEN = internal/experiments/testdata/report_seed7.golden
+report-golden:
+	$(GO) run ./cmd/uninet report -seed 7 -parallel 1 > $(REPORT_GOLDEN).tmp
+	mv $(REPORT_GOLDEN).tmp $(REPORT_GOLDEN)
 
 examples:
 	$(GO) run ./examples/quickstart
