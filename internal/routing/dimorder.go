@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"universalnet/internal/graph"
 	"universalnet/internal/topology"
@@ -69,106 +68,46 @@ func (r *DimensionOrderRouter) nextHop(at, dst int) int {
 	return at
 }
 
+// remaining is pk's mesh or torus distance to its destination.
+func (r *DimensionOrderRouter) remaining(pk *packet) int {
+	ax, ay := topology.MeshCoord(r.N, pk.at)
+	dx, dy := topology.MeshCoord(r.N, pk.dst)
+	if r.Wrap {
+		return topology.TorusDistance(r.N, ax, ay, dx, dy)
+	}
+	d := ax - dx
+	if d < 0 {
+		d = -d
+	}
+	e := ay - dy
+	if e < 0 {
+		e = -e
+	}
+	return d + e
+}
+
 // Route implements Router. The graph must contain the mesh/torus edges the
 // router assumes (extra edges are ignored).
 func (r *DimensionOrderRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 	if r.N*r.N != p.N || g.N() != p.N {
 		return Result{}, fmt.Errorf("routing: dimension-order needs N²=%d nodes, graph %d, problem %d", r.N*r.N, g.N(), p.N)
 	}
-	var live []*packet
-	res := Result{}
-	remaining := func(pk *packet) int {
-		ax, ay := topology.MeshCoord(r.N, pk.at)
-		dx, dy := topology.MeshCoord(r.N, pk.dst)
-		if r.Wrap {
-			return topology.TorusDistance(r.N, ax, ay, dx, dy)
-		}
-		d := ax - dx
-		if d < 0 {
-			d = -d
-		}
-		e := ay - dy
-		if e < 0 {
-			e = -e
-		}
-		return d + e
-	}
-	for i, pr := range p.Pairs {
-		if pr.Src == pr.Dst {
-			res.Delivered++
-			continue
-		}
-		live = append(live, &packet{id: i, at: pr.Src, dst: pr.Dst})
-	}
 	maxStep := r.MaxStep
 	if maxStep == 0 {
 		maxStep = 64 * (2*r.N + 1) * (p.H() + 1)
 	}
-	queues := make(map[int]int)
-	for step := 0; len(live) > 0; step++ {
-		if step >= maxStep {
-			return res, fmt.Errorf("routing: step bound %d exceeded, %d packets left", maxStep, len(live))
-		}
-		type key struct{ u, v int }
-		cand := make(map[key]*packet)
-		for _, pk := range live {
+	return stepPackets(p, r.Mode, maxStep,
+		func(pk *packet) (int, error) {
 			v := r.nextHop(pk.at, pk.dst)
 			if v == pk.at {
-				return res, fmt.Errorf("routing: stuck packet %d at %d", pk.id, pk.at)
+				return 0, fmt.Errorf("routing: stuck packet %d at %d", pk.id, pk.at)
 			}
 			if !g.HasEdge(pk.at, v) {
-				return res, fmt.Errorf("routing: graph missing mesh edge {%d,%d}", pk.at, v)
+				return 0, fmt.Errorf("routing: graph missing mesh edge {%d,%d}", pk.at, v)
 			}
-			k := key{pk.at, v}
-			if cur, ok := cand[k]; !ok || remaining(pk) > remaining(cur) ||
-				(remaining(pk) == remaining(cur) && pk.id < cur.id) {
-				cand[k] = pk
-			}
-		}
-		keys := make([]key, 0, len(cand))
-		for k := range cand {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].u != keys[j].u {
-				return keys[i].u < keys[j].u
-			}
-			return keys[i].v < keys[j].v
-		})
-		sendUsed := make(map[int]bool)
-		recvUsed := make(map[int]bool)
-		for _, k := range keys {
-			pk := cand[k]
-			if r.Mode == SinglePort {
-				if sendUsed[k.u] || recvUsed[k.v] {
-					continue
-				}
-				sendUsed[k.u] = true
-				recvUsed[k.v] = true
-			}
-			pk.at = k.v
-			pk.hops++
-		}
-		var next []*packet
-		clearMap(queues)
-		for _, pk := range live {
-			if pk.at == pk.dst {
-				res.Delivered++
-				res.TotalHops += pk.hops
-				continue
-			}
-			queues[pk.at]++
-			next = append(next, pk)
-		}
-		for _, q := range queues {
-			if q > res.MaxQueue {
-				res.MaxQueue = q
-			}
-		}
-		live = next
-		res.Steps = step + 1
-	}
-	return res, nil
+			return v, nil
+		},
+		r.remaining)
 }
 
 // MeasureRoute estimates route_G(h) of §2: the number of steps the given

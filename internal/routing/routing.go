@@ -260,17 +260,99 @@ type packet struct {
 	hops int
 }
 
-// FarthestFirst orders packets for link arbitration: packets with more
-// remaining distance win; ties break by id (deterministic).
-func farthestFirst(cache *distanceCache) func(a, b *packet) bool {
-	return func(a, b *packet) bool {
-		da := cache.to(a.dst)[a.at]
-		db := cache.to(b.dst)[b.at]
-		if da != db {
-			return da > db
+// link is the directed edge u→v a packet moves along.
+type link struct{ u, v int }
+
+// stepPackets routes p in synchronous store-and-forward steps; it is the
+// step loop of every packet-stepping router. Each step, hop names the next
+// node of every undelivered packet (in packet order, so a seeded policy
+// draws deterministically), and each directed link carries one packet: the
+// one with the most distance left by dist, the lower packet id on ties.
+// Under SinglePort the winners move in ascending (u, v) order while each
+// node sends at most once and receives at most once. Routing fails after
+// maxStep steps.
+func stepPackets(p *Problem, mode PortMode, maxStep int,
+	hop func(pk *packet) (int, error), dist func(pk *packet) int) (Result, error) {
+	var res Result
+	var live []*packet
+	for i, pr := range p.Pairs {
+		if pr.Src == pr.Dst {
+			res.Delivered++
+			continue
 		}
-		return a.id < b.id
+		live = append(live, &packet{id: i, at: pr.Src, dst: pr.Dst})
 	}
+	cand := make(map[link]*packet) // one winner per directed link
+	var links []link
+	sendUsed := make(map[int]bool)
+	recvUsed := make(map[int]bool)
+	queues := make(map[int]int) // node → queued packet count, for stats
+	for step := 0; len(live) > 0; step++ {
+		if step >= maxStep {
+			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", maxStep, len(live))
+		}
+		clear(cand)
+		for _, pk := range live {
+			v, err := hop(pk)
+			if err != nil {
+				return res, err
+			}
+			k := link{pk.at, v}
+			cur, ok := cand[k]
+			if !ok {
+				cand[k] = pk
+				continue
+			}
+			if d, dc := dist(pk), dist(cur); d > dc || d == dc && pk.id < cur.id {
+				cand[k] = pk
+			}
+		}
+		// Deterministic iteration order over winners.
+		links = links[:0]
+		for k := range cand {
+			links = append(links, k)
+		}
+		sort.Slice(links, func(i, j int) bool {
+			if links[i].u != links[j].u {
+				return links[i].u < links[j].u
+			}
+			return links[i].v < links[j].v
+		})
+		clear(sendUsed)
+		clear(recvUsed)
+		for _, k := range links {
+			if mode == SinglePort {
+				if sendUsed[k.u] || recvUsed[k.v] {
+					continue
+				}
+				sendUsed[k.u] = true
+				recvUsed[k.v] = true
+			}
+			pk := cand[k]
+			pk.at = k.v
+			pk.hops++
+		}
+		// Deliveries and stats.
+		next := live[:0]
+		clear(queues)
+		for _, pk := range live {
+			if pk.at == pk.dst {
+				res.Delivered++
+				res.TotalHops += pk.hops
+				continue
+			}
+			queues[pk.at]++
+			next = append(next, pk)
+		}
+		for _, q := range queues {
+			if q > res.MaxQueue {
+				res.MaxQueue = q
+			}
+		}
+		live = next
+		res.Steps = step + 1
+	}
+	return res, nil
 }
 
 // GreedyRouter forwards every packet along shortest paths, arbitrating link
@@ -304,106 +386,40 @@ func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 	rng := rand.New(rand.NewSource(r.Seed))
 	cache := newDistanceCache(g)
 
-	var live []*packet
-	res := Result{}
-	for i, pr := range p.Pairs {
+	diam := 1
+	for _, pr := range p.Pairs {
 		if pr.Src == pr.Dst {
-			res.Delivered++
 			continue
 		}
-		if cache.to(pr.Dst)[pr.Src] < 0 {
+		d := cache.to(pr.Dst)[pr.Src]
+		if d < 0 {
 			return Result{}, fmt.Errorf("routing: destination %d unreachable from %d", pr.Dst, pr.Src)
 		}
-		live = append(live, &packet{id: i, at: pr.Src, dst: pr.Dst})
+		if d > diam {
+			diam = d
+		}
 	}
 	maxStep := r.MaxStep
 	if maxStep == 0 {
-		diam := 1
-		for _, pk := range live {
-			if d := cache.to(pk.dst)[pk.at]; d > diam {
-				diam = d
-			}
-		}
 		maxStep = 64 * (diam + 1) * (p.H() + 1)
 		if maxStep < 1024 {
 			maxStep = 1024
 		}
 	}
-	less := farthestFirst(cache)
-
-	queues := make(map[int]int) // node → queued packet count, for stats
-	for step := 0; len(live) > 0; step++ {
-		if step >= maxStep {
-			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", maxStep, len(live))
-		}
-		// Candidate moves: (u→v) grouped; one winner per directed edge.
-		type key struct{ u, v int }
-		cand := make(map[key]*packet)
-		for _, pk := range live {
+	res, err := stepPackets(p, r.Mode, maxStep,
+		func(pk *packet) (int, error) {
 			v := policy(g, pk.at, pk.dst, cache.to(pk.dst), rng)
 			if v < 0 {
-				return res, fmt.Errorf("routing: policy returned no progress from %d toward %d", pk.at, pk.dst)
+				return 0, fmt.Errorf("routing: policy returned no progress from %d toward %d", pk.at, pk.dst)
 			}
-			k := key{pk.at, v}
-			if cur, ok := cand[k]; !ok || less(pk, cur) {
-				cand[k] = pk
-			}
-		}
-		// Deterministic iteration order over winners.
-		keys := make([]key, 0, len(cand))
-		for k := range cand {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].u != keys[j].u {
-				return keys[i].u < keys[j].u
-			}
-			return keys[i].v < keys[j].v
-		})
-		sendUsed := make(map[int]bool)
-		recvUsed := make(map[int]bool)
-		moved := make(map[int]bool)
-		for _, k := range keys {
-			pk := cand[k]
-			if r.Mode == SinglePort {
-				if sendUsed[k.u] || recvUsed[k.v] {
-					continue
-				}
-				sendUsed[k.u] = true
-				recvUsed[k.v] = true
-			}
-			pk.at = k.v
-			pk.hops++
-			moved[pk.id] = true
-		}
-		// Deliveries and stats.
-		var next []*packet
-		clearMap(queues)
-		for _, pk := range live {
-			if pk.at == pk.dst {
-				res.Delivered++
-				res.TotalHops += pk.hops
-				continue
-			}
-			queues[pk.at]++
-			next = append(next, pk)
-		}
-		for _, q := range queues {
-			if q > res.MaxQueue {
-				res.MaxQueue = q
-			}
-		}
-		live = next
-		res.Steps = step + 1
+			return v, nil
+		},
+		func(pk *packet) int { return cache.to(pk.dst)[pk.at] })
+	if err != nil {
+		return res, err
 	}
 	observePhase(r.Obs, "greedy", &res)
 	return res, nil
-}
-
-func clearMap(m map[int]int) {
-	for k := range m {
-		delete(m, k)
-	}
 }
 
 // ValiantRouter routes in two phases: every packet first goes to a uniformly
