@@ -59,11 +59,17 @@ type FaultReport struct {
 	InitialHosts   int // m before any fault
 	SurvivingHosts int // m − crashes at the end of the run
 	Replication    int // largest replica count of any guest at the start
+	// AvgFetchDist is the mean host distance from a replica to the nearest
+	// replica of each guest neighbor, under the placement in force at the
+	// end of the run (local fetches count as distance 0).
+	AvgFetchDist float64
 }
 
 // Run simulates T steps of c under the plan. On success the returned trace
 // is verified reconstructible; on unrecoverable faults the error wraps
-// ErrUnrecoverable and no trace is returned.
+// ErrUnrecoverable and no trace is returned. MaxLoad is the largest
+// per-step replica load of the steps run; a T = 0 run reports the initial
+// placement's load.
 func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, error) {
 	guest := c.G
 	n, m := guest.N(), ft.Host.Graph.N()
@@ -169,10 +175,11 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 	var fetches []fetch
 	var pairs []routing.Pair
 	maxLoad := 0
-	placementDirty := true
+	placementDirty := false
 	rebuildDemands := func() error {
 		fetches = fetches[:0]
 		pairs = pairs[:0]
+		totalDist, fetchCount := 0, 0
 		load := make([]int, m)
 		for _, r := range reps {
 			for _, q := range r {
@@ -202,6 +209,8 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 						return fmt.Errorf("universal: guest %d partitioned from every replica of neighbor %d: %w",
 							j, i, ErrUnrecoverable)
 					}
+					totalDist += best
+					fetchCount++
 					if src != q {
 						fetches = append(fetches, fetch{guest: i, from: src, forRepl: ri, neighJ: j})
 						pairs = append(pairs, routing.Pair{Src: src, Dst: q})
@@ -209,7 +218,17 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 				}
 			}
 		}
+		rep.AvgFetchDist = 0
+		if fetchCount > 0 {
+			rep.AvgFetchDist = float64(totalDist) / float64(fetchCount)
+		}
 		return nil
+	}
+	if err := rebuildDemands(); err != nil {
+		return nil, err
+	}
+	if T == 0 {
+		rep.MaxLoad = maxLoad
 	}
 
 	hostStepHist := ft.Obs.Histogram("universal.host_steps_per_guest_step", hostStepBuckets)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"universalnet/internal/routing"
 	"universalnet/internal/sim"
 )
 
@@ -49,190 +48,17 @@ type RedundantReport struct {
 
 // Run simulates T steps of c with replication, verifying against direct
 // execution via the returned trace (states are taken from replica 0 of each
-// guest; all replicas are checked for agreement).
+// guest; all replicas are checked for agreement). It is the fault-free path
+// of FaultTolerantSimulator, which also defines the nearest-replica fetches.
 func (rs *RedundantSimulator) Run(c *sim.Computation, T int) (*RedundantReport, error) {
-	guest := c.G
-	n, m := guest.N(), rs.Host.Graph.N()
-	if len(rs.Replicas) != n {
+	// FaultTolerantSimulator reads a nil table as one replica per guest; a
+	// redundant run needs the table.
+	if n := c.G.N(); len(rs.Replicas) != n {
 		return nil, fmt.Errorf("universal: replica table has %d rows for %d guests", len(rs.Replicas), n)
 	}
-	for i, reps := range rs.Replicas {
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("universal: guest %d has no replicas", i)
-		}
-		seen := make(map[int]bool)
-		for _, q := range reps {
-			if q < 0 || q >= m {
-				return nil, fmt.Errorf("universal: guest %d replica on invalid host %d", i, q)
-			}
-			if seen[q] {
-				return nil, fmt.Errorf("universal: guest %d has duplicate replica host %d", i, q)
-			}
-			seen[q] = true
-		}
+	fr, err := (&FaultTolerantSimulator{Host: rs.Host, Replicas: rs.Replicas}).Run(c, T)
+	if err != nil {
+		return nil, err
 	}
-	// Host distances (BFS per host processor, cached).
-	distCache := make(map[int][]int)
-	distFrom := func(src int) []int {
-		if d, ok := distCache[src]; ok {
-			return d
-		}
-		d := rs.Host.Graph.BFS(src)
-		distCache[src] = d
-		return d
-	}
-	nearest := func(reps []int, to int) (best int, bd int) {
-		best, bd = -1, -1
-		for _, p := range reps {
-			d := distFrom(p)[to]
-			if d < 0 {
-				continue
-			}
-			if bd < 0 || d < bd {
-				best, bd = p, d
-			}
-		}
-		return best, bd
-	}
-
-	load := make([]int, m)
-	for _, reps := range rs.Replicas {
-		for _, q := range reps {
-			load[q]++
-		}
-	}
-	maxLoad := 0
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-
-	// Fixed per-step communication demands: for each guest edge (i,j), each
-	// replica q of j fetches i's state from the nearest replica of i.
-	type fetch struct {
-		guest   int // whose state moves
-		from    int
-		to      int
-		forRepl int // index into Replicas[j]
-		neighJ  int // the guest j doing the fetching
-	}
-	var fetches []fetch
-	var pairs []routing.Pair
-	totalDist := 0
-	fetchCount := 0
-	for j := 0; j < n; j++ {
-		for ri, q := range rs.Replicas[j] {
-			for _, i := range guest.Neighbors(j) {
-				src, d := nearest(rs.Replicas[i], q)
-				if src < 0 {
-					return nil, fmt.Errorf("universal: no reachable replica of %d from host %d", i, q)
-				}
-				totalDist += d
-				fetchCount++
-				if src != q {
-					fetches = append(fetches, fetch{guest: i, from: src, to: q, forRepl: ri, neighJ: j})
-					pairs = append(pairs, routing.Pair{Src: src, Dst: q})
-				}
-			}
-		}
-	}
-	problem := &routing.Problem{N: m, Pairs: pairs}
-
-	// Replica-local states: state[i][ri].
-	state := make([][]sim.State, n)
-	for i := range state {
-		state[i] = make([]sim.State, len(rs.Replicas[i]))
-		for ri := range state[i] {
-			state[i][ri] = c.Init[i]
-		}
-	}
-	rep := &RedundantReport{}
-	rep.RunReport.MaxLoad = maxLoad
-	for _, r := range rs.Replicas {
-		if len(r) > rep.Replication {
-			rep.Replication = len(r)
-		}
-	}
-	if fetchCount > 0 {
-		rep.AvgFetchDist = float64(totalDist) / float64(fetchCount)
-	}
-	rep.GuestSteps = T
-	trace := &sim.Trace{States: make([][]sim.State, T+1)}
-	trace.States[0] = append([]sim.State(nil), c.Init...)
-
-	// inbox[j][ri][i] = the fetched state of neighbor i for replica ri of j.
-	nbuf := make([]sim.State, 0, guest.MaxDegree())
-	for t := 1; t <= T; t++ {
-		if len(pairs) > 0 {
-			res, err := rs.Host.Router.Route(rs.Host.Graph, problem)
-			if err != nil {
-				return nil, fmt.Errorf("universal: redundant routing at step %d: %w", t, err)
-			}
-			rep.RouteSteps += res.Steps
-		}
-		inbox := make(map[[3]int]sim.State) // (j, ri, i) → state
-		for _, f := range fetches {
-			// The source replica's local copy of guest f.guest's state.
-			srcIdx := -1
-			for ri, q := range rs.Replicas[f.guest] {
-				if q == f.from {
-					srcIdx = ri
-					break
-				}
-			}
-			if srcIdx < 0 {
-				return nil, fmt.Errorf("universal: internal replica lookup failure")
-			}
-			inbox[[3]int{f.neighJ, f.forRepl, f.guest}] = state[f.guest][srcIdx]
-		}
-		next := make([][]sim.State, n)
-		for j := 0; j < n; j++ {
-			next[j] = make([]sim.State, len(rs.Replicas[j]))
-			for ri, q := range rs.Replicas[j] {
-				nbuf = nbuf[:0]
-				for _, i := range guest.Neighbors(j) {
-					if v, ok := inbox[[3]int{j, ri, i}]; ok {
-						nbuf = append(nbuf, v)
-					} else {
-						// Fetched locally: q is itself a replica of i.
-						localIdx := -1
-						for rk, p := range rs.Replicas[i] {
-							if p == q {
-								localIdx = rk
-								break
-							}
-						}
-						if localIdx < 0 {
-							return nil, fmt.Errorf("universal: replica %d of guest %d missing state of %d", ri, j, i)
-						}
-						nbuf = append(nbuf, state[i][localIdx])
-					}
-				}
-				next[j][ri] = c.Step(j, state[j][ri], nbuf)
-			}
-		}
-		// All replicas of a guest must agree (they saw the same inputs).
-		for j := 0; j < n; j++ {
-			for ri := 1; ri < len(next[j]); ri++ {
-				if next[j][ri] != next[j][0] {
-					return nil, fmt.Errorf("universal: replicas of guest %d diverged at step %d", j, t)
-				}
-			}
-		}
-		state = next
-		rep.ComputeSteps += maxLoad
-		row := make([]sim.State, n)
-		for j := 0; j < n; j++ {
-			row[j] = state[j][0]
-		}
-		trace.States[t] = row
-	}
-	rep.HostSteps = rep.ComputeSteps + rep.RouteSteps
-	if T > 0 {
-		rep.Slowdown = float64(rep.HostSteps) / float64(T)
-		rep.Inefficiency = rep.Slowdown * float64(m) / float64(n)
-	}
-	rep.Trace = trace
-	return rep, nil
+	return &RedundantReport{RunReport: fr.RunReport, Replication: fr.Replication, AvgFetchDist: fr.AvgFetchDist}, nil
 }
