@@ -323,7 +323,7 @@ func OfflineScheduleHH(d int, p *Problem) (steps int, rounds int, err error) {
 	}
 	per := BenesLevels(d) - 1
 	for _, round := range perms {
-		full := completePermutation(p.N, round)
+		full := CompletePermutation(p.N, round)
 		if _, err := OfflinePermutationSteps(d, full); err != nil {
 			return 0, 0, err
 		}
@@ -332,10 +332,10 @@ func OfflineScheduleHH(d int, p *Problem) (steps int, rounds int, err error) {
 	return steps, len(perms), nil
 }
 
-// completePermutation extends a partial permutation (distinct sources,
+// CompletePermutation extends a partial permutation (distinct sources,
 // distinct destinations) to a full permutation of [n] by matching the unused
 // sources to the unused destinations in order.
-func completePermutation(n int, pairs []Pair) []int {
+func CompletePermutation(n int, pairs []Pair) []int {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = -1

@@ -404,7 +404,7 @@ func TestOfflineScheduleHH(t *testing.T) {
 }
 
 func TestCompletePermutation(t *testing.T) {
-	perm := completePermutation(5, []Pair{{1, 3}, {4, 0}})
+	perm := CompletePermutation(5, []Pair{{1, 3}, {4, 0}})
 	if err := checkPermutation(perm); err != nil {
 		t.Fatalf("not a permutation: %v (%v)", err, perm)
 	}

@@ -109,54 +109,22 @@ func (r *OfflineBenesRouter) route(g *graph.Graph, p *routing.Problem) (routing.
 	if len(rowPairs) == 0 {
 		return routing.Result{Delivered: len(p.Pairs)}, nil
 	}
-	rounds, err := routing.DecomposeHRelation(rows, rowPairs)
+	// Decompose into permutation rounds, certifying each round's Waksman
+	// schedule (vertex-disjoint paths).
+	_, rounds, err := routing.OfflineScheduleHH(d, &routing.Problem{N: rows, Pairs: rowPairs})
 	if err != nil {
 		return routing.Result{}, err
-	}
-	for _, round := range rounds {
-		perm := completeRowPermutation(rows, round)
-		// Certify the Waksman schedule exists (vertex-disjoint paths).
-		if _, err := routing.OfflinePermutationSteps(d, perm); err != nil {
-			return routing.Result{}, err
-		}
 	}
 	perRound := (levels - 1) + 1 // Beneš stages + wrap hop back to level 0
 	var steps int
 	if r.Serial {
-		steps = len(rounds) * perRound
+		steps = rounds * perRound
 	} else {
-		steps = (len(rounds) - 1) + perRound
+		steps = (rounds - 1) + perRound
 	}
 	return routing.Result{
 		Steps:         steps,
 		Delivered:     len(p.Pairs),
-		StepsPerPhase: []int{len(rounds)},
+		StepsPerPhase: []int{rounds},
 	}, nil
-}
-
-// completeRowPermutation extends a partial row permutation to a full one.
-func completeRowPermutation(rows int, pairs []routing.Pair) []int {
-	perm := make([]int, rows)
-	for i := range perm {
-		perm[i] = -1
-	}
-	used := make([]bool, rows)
-	for _, p := range pairs {
-		perm[p.Src] = p.Dst
-		used[p.Dst] = true
-	}
-	free := make([]int, 0)
-	for r := 0; r < rows; r++ {
-		if !used[r] {
-			free = append(free, r)
-		}
-	}
-	fi := 0
-	for s := 0; s < rows; s++ {
-		if perm[s] < 0 {
-			perm[s] = free[fi]
-			fi++
-		}
-	}
-	return perm
 }

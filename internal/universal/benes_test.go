@@ -139,20 +139,6 @@ func TestBenesHostEndToEndSimulation(t *testing.T) {
 	}
 }
 
-func TestCompleteRowPermutation(t *testing.T) {
-	perm := completeRowPermutation(6, []routing.Pair{{Src: 0, Dst: 4}, {Src: 3, Dst: 0}})
-	seen := make([]bool, 6)
-	for _, v := range perm {
-		if v < 0 || v >= 6 || seen[v] {
-			t.Fatalf("not a permutation: %v", perm)
-		}
-		seen[v] = true
-	}
-	if perm[0] != 4 || perm[3] != 0 {
-		t.Errorf("given pairs lost: %v", perm)
-	}
-}
-
 func TestObliviousOnBenesHostOffline(t *testing.T) {
 	// §2 distinguishes offline (fixed relations) from online (complete
 	// network); the offline Beneš machinery still APPLIES per round to a
