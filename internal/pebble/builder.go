@@ -31,39 +31,12 @@ func BuildEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 // it is assembled, so the protocol never has to exist as a whole. The ops
 // slice passed to the sink is reused across steps.
 func StreamEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
+	f, err := checkEmbedding(guest, host, f, T)
+	if err != nil {
+		return err
+	}
 	n, m := guest.N(), host.N()
-	if T < 1 {
-		return fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = make([]int, n)
-		for i := range f {
-			f[i] = i % m
-		}
-	}
-	if len(f) != n {
-		return fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-
-	// Guests per host, in index order: generation schedule.
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
-	}
-	maxLoad := 0
-	for _, gs := range guestsOf {
-		if len(gs) > maxLoad {
-			maxLoad = len(gs)
-		}
-	}
+	guestsOf, maxLoad := guestsPerHost(f, m)
 
 	// Distribution tasks per guest step: pebble (P_i, t) from f(i) to the
 	// distinct hosts of i's neighbors. The task list is identical for every t
@@ -179,6 +152,46 @@ func StreamEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink Step
 		}
 	}
 	return nil
+}
+
+// checkEmbedding runs the argument checks every embedding builder shares:
+// T ≥ 1, a connected host, and one valid host per guest in f. A nil f
+// selects BalancedAssignment; the assignment in force is returned.
+func checkEmbedding(guest, host *graph.Graph, f []int, T int) ([]int, error) {
+	n, m := guest.N(), host.N()
+	if T < 1 {
+		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
+	}
+	if !host.IsConnected() {
+		return nil, fmt.Errorf("pebble: host must be connected")
+	}
+	if f == nil {
+		f = BalancedAssignment(n, m)
+	}
+	if len(f) != n {
+		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
+	}
+	for i, q := range f {
+		if q < 0 || q >= m {
+			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
+		}
+	}
+	return f, nil
+}
+
+// guestsPerHost lists each of the m hosts' guests in index order — the
+// generation schedule — and returns the longest list's length.
+func guestsPerHost(f []int, m int) (guestsOf [][]int, maxLoad int) {
+	guestsOf = make([][]int, m)
+	for i, q := range f {
+		guestsOf[q] = append(guestsOf[q], i)
+	}
+	for _, gs := range guestsOf {
+		if len(gs) > maxLoad {
+			maxLoad = len(gs)
+		}
+	}
+	return guestsOf, maxLoad
 }
 
 // BalancedAssignment returns the canonical load-balanced map f of

@@ -15,34 +15,12 @@ import (
 // multicast tree ships one per tree edge, cutting both operations and, on
 // branching hosts, host steps.
 func BuildMulticastProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
+	f, err := checkEmbedding(guest, host, f, T)
+	if err != nil {
+		return nil, err
+	}
 	n, m := guest.N(), host.N()
-	if T < 1 {
-		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return nil, fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
-	}
-	maxLoad := 0
-	for _, gs := range guestsOf {
-		if len(gs) > maxLoad {
-			maxLoad = len(gs)
-		}
-	}
+	guestsOf, maxLoad := guestsPerHost(f, m)
 
 	// BFS parents from each source host (cached): parent[src][v] = previous
 	// hop on a shortest path src→v.

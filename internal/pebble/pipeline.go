@@ -38,24 +38,11 @@ func StreamPipelinedProtocol(guest, host *graph.Graph, f []int, T int, sink Step
 }
 
 func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
+	f, err := checkEmbedding(guest, host, f, T)
+	if err != nil {
+		return err
+	}
 	n, m := guest.N(), host.N()
-	if T < 1 {
-		return fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
 
 	// Transfer tasks: deliver (P_i, t) from f(i) to the host of each guest
 	// neighbor (deduplicated). Created when (P_i, t) is generated, t < T.
@@ -82,10 +69,7 @@ func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) er
 	for i := range nextGen {
 		nextGen[i] = 1
 	}
-	guestsOf := make([][]int, m)
-	for i := 0; i < n; i++ {
-		guestsOf[f[i]] = append(guestsOf[f[i]], i)
-	}
+	guestsOf, _ := guestsPerHost(f, m)
 	canGen := func(i int) bool {
 		t := nextGen[i]
 		if t > T {

@@ -80,24 +80,11 @@ type queuedPlan struct {
 }
 
 func newQueuedPlan(guest, host *graph.Graph, f []int, T int) (*queuedPlan, error) {
+	f, err := checkEmbedding(guest, host, f, T)
+	if err != nil {
+		return nil, err
+	}
 	n, m := guest.N(), host.N()
-	if T < 1 {
-		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return nil, fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
 
 	p := &queuedPlan{guest: guest, host: host, T: T, n: n, m: m}
 
