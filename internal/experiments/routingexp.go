@@ -128,18 +128,6 @@ func E7Tradeoff(ctx context.Context, n, c, depth, hostDim, T int, seed int64) ([
 	return rows, nil
 }
 
-// nearestPow2AtMost returns the largest power of two ≤ x (0 for x < 1).
-func nearestPow2AtMost(x int) int {
-	p := 1
-	for p*2 <= x {
-		p *= 2
-	}
-	if x < 1 {
-		return 0
-	}
-	return p
-}
-
 // E7Table formats E7 rows.
 func E7Table(rows []E7Row) *Table {
 	t := &Table{

@@ -265,11 +265,8 @@ func (l *ChunkedLog) Steps() int { return l.steps }
 // TotalBytes returns the total encoded size of the stream.
 func (l *ChunkedLog) TotalBytes() int64 { return l.totalBytes }
 
-// ResidentBytes returns the encoded bytes currently held in memory.
-func (l *ChunkedLog) ResidentBytes() int64 { return l.resident + int64(len(l.cur)) }
-
-// PeakResidentBytes returns the high-water mark of ResidentBytes — the
-// number the bigsim smoke gate bounds.
+// PeakResidentBytes returns the high-water mark of the encoded bytes held
+// in memory — the number the bigsim smoke gate bounds.
 func (l *ChunkedLog) PeakResidentBytes() int64 { return l.peakResident }
 
 // SpilledBytes returns the bytes written to the spill file.

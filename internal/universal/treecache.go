@@ -96,9 +96,6 @@ func (h *TreeCachedHost) Root(i int) int { return i * h.treeSize }
 // M returns the host size.
 func (h *TreeCachedHost) M() int { return h.Graph.N() }
 
-// Slowdown returns the guaranteed constant slowdown c+2.
-func (h *TreeCachedHost) Slowdown() int { return h.C + 2 }
-
 // SimulateProtocol produces (and thereby proves realizable) the pebble-game
 // protocol simulating Depth steps of the guest with slowdown exactly c+2.
 // The guest must have ≤ N processors and maximum degree ≤ C.
