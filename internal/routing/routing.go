@@ -260,6 +260,73 @@ type packet struct {
 	hops int
 }
 
+// GreedyRouter forwards every packet along shortest paths, arbitrating link
+// contention farthest-first. Works on any connected topology.
+type GreedyRouter struct {
+	Mode    PortMode
+	Policy  NextHopPolicy // nil ⇒ MinIndexNextHop
+	Seed    int64
+	MaxStep int // safety bound; 0 ⇒ 64·(diameter+1)·(h+1) heuristic
+	// Obs, when non-nil, receives per-phase routing metrics.
+	Obs *obs.Registry
+}
+
+// Name implements Router.
+func (r *GreedyRouter) Name() string {
+	return fmt.Sprintf("greedy(%s)", r.Mode)
+}
+
+// SetObs implements Instrumentable.
+func (r *GreedyRouter) SetObs(reg *obs.Registry) { r.Obs = reg }
+
+// Route implements Router.
+func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
+	if g.N() != p.N {
+		return Result{}, fmt.Errorf("routing: graph has %d nodes, problem %d", g.N(), p.N)
+	}
+	policy := r.Policy
+	if policy == nil {
+		policy = MinIndexNextHop
+	}
+	rng := rand.New(rand.NewSource(r.Seed))
+	cache := newDistanceCache(g)
+
+	diam := 1
+	for _, pr := range p.Pairs {
+		if pr.Src == pr.Dst {
+			continue
+		}
+		d := cache.to(pr.Dst)[pr.Src]
+		if d < 0 {
+			return Result{}, fmt.Errorf("routing: destination %d unreachable from %d", pr.Dst, pr.Src)
+		}
+		if d > diam {
+			diam = d
+		}
+	}
+	maxStep := r.MaxStep
+	if maxStep == 0 {
+		maxStep = 64 * (diam + 1) * (p.H() + 1)
+		if maxStep < 1024 {
+			maxStep = 1024
+		}
+	}
+	res, err := stepPackets(p, r.Mode, maxStep,
+		func(pk *packet) (int, error) {
+			v := policy(g, pk.at, pk.dst, cache.to(pk.dst), rng)
+			if v < 0 {
+				return 0, fmt.Errorf("routing: policy returned no progress from %d toward %d", pk.at, pk.dst)
+			}
+			return v, nil
+		},
+		func(pk *packet) int { return cache.to(pk.dst)[pk.at] })
+	if err != nil {
+		return res, err
+	}
+	observePhase(r.Obs, "greedy", &res)
+	return res, nil
+}
+
 // link is the directed edge u→v a packet moves along.
 type link struct{ u, v int }
 
@@ -352,73 +419,6 @@ func stepPackets(p *Problem, mode PortMode, maxStep int,
 		live = next
 		res.Steps = step + 1
 	}
-	return res, nil
-}
-
-// GreedyRouter forwards every packet along shortest paths, arbitrating link
-// contention farthest-first. Works on any connected topology.
-type GreedyRouter struct {
-	Mode    PortMode
-	Policy  NextHopPolicy // nil ⇒ MinIndexNextHop
-	Seed    int64
-	MaxStep int // safety bound; 0 ⇒ 64·(diameter+1)·(h+1) heuristic
-	// Obs, when non-nil, receives per-phase routing metrics.
-	Obs *obs.Registry
-}
-
-// Name implements Router.
-func (r *GreedyRouter) Name() string {
-	return fmt.Sprintf("greedy(%s)", r.Mode)
-}
-
-// SetObs implements Instrumentable.
-func (r *GreedyRouter) SetObs(reg *obs.Registry) { r.Obs = reg }
-
-// Route implements Router.
-func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
-	if g.N() != p.N {
-		return Result{}, fmt.Errorf("routing: graph has %d nodes, problem %d", g.N(), p.N)
-	}
-	policy := r.Policy
-	if policy == nil {
-		policy = MinIndexNextHop
-	}
-	rng := rand.New(rand.NewSource(r.Seed))
-	cache := newDistanceCache(g)
-
-	diam := 1
-	for _, pr := range p.Pairs {
-		if pr.Src == pr.Dst {
-			continue
-		}
-		d := cache.to(pr.Dst)[pr.Src]
-		if d < 0 {
-			return Result{}, fmt.Errorf("routing: destination %d unreachable from %d", pr.Dst, pr.Src)
-		}
-		if d > diam {
-			diam = d
-		}
-	}
-	maxStep := r.MaxStep
-	if maxStep == 0 {
-		maxStep = 64 * (diam + 1) * (p.H() + 1)
-		if maxStep < 1024 {
-			maxStep = 1024
-		}
-	}
-	res, err := stepPackets(p, r.Mode, maxStep,
-		func(pk *packet) (int, error) {
-			v := policy(g, pk.at, pk.dst, cache.to(pk.dst), rng)
-			if v < 0 {
-				return 0, fmt.Errorf("routing: policy returned no progress from %d toward %d", pk.at, pk.dst)
-			}
-			return v, nil
-		},
-		func(pk *packet) int { return cache.to(pk.dst)[pk.at] })
-	if err != nil {
-		return res, err
-	}
-	observePhase(r.Obs, "greedy", &res)
 	return res, nil
 }
 

@@ -153,7 +153,7 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 		return d
 	}
 
-	// Replica-local states, as in RedundantSimulator.
+	// Replica-local states: state[i][ri] is replica ri's copy of guest i.
 	state := make([][]sim.State, n)
 	for i := range state {
 		state[i] = make([]sim.State, len(reps[i]))
@@ -218,7 +218,6 @@ func (ft *FaultTolerantSimulator) Run(c *sim.Computation, T int) (*FaultReport, 
 				}
 			}
 		}
-		rep.AvgFetchDist = 0
 		if fetchCount > 0 {
 			rep.AvgFetchDist = float64(totalDist) / float64(fetchCount)
 		}
