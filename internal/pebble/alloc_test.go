@@ -10,7 +10,7 @@ import (
 
 // Allocation budgets for the dense pebble engine. These are regression
 // tripwires, not targets: measured values are 0 (warm ApplyStep — the
-// per-State scratch absorbs everything once buffers have grown) and ~32
+// per-State scratch absorbs everything once buffers have grown) and 43
 // (full Validate of a small protocol, dominated by NewState's tables). The
 // ceilings leave headroom for runtime jitter; a real regression — a map or
 // per-step slice creeping back into ApplyStep — blows well past them.
