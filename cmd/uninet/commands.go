@@ -375,7 +375,7 @@ func cmdBigsim(args []string) error {
 	deg := fs.Int("deg", 3, "guest degree")
 	hostDim := fs.Int("hostdim", 5, "wrapped-butterfly host dimension")
 	steps := fs.Int("steps", 2, "guest steps")
-	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS minus the builder workers, at least 1)")
 	buildShards := fs.Int("build-shards", 0, "builder workers (0 = GOMAXPROCS/2, 1 = serial build)")
 	window := fs.Int("window", 8, "pipe window in host steps")
 	barrierWindow := fs.Int("barrier-window", 0, "validator host steps per barrier round (0 = default)")

@@ -13,16 +13,21 @@ import (
 // pipeline connected by a bounded pebble.Pipe, so the protocol never exists
 // as a whole — the working set is the pipe window plus the validator's
 // possession bitsets (and, optionally, the chunked archive's resident
-// window). Both stages scale with cores: construction shards across
+// window). Both stages can use several cores: construction shards across
 // BuildShards worker goroutines (per-processor ranges merged back into the
 // serial byte order), validation across Shards possession shards under a
-// windowed barrier. This is the path that takes E1-style validation to
-// n = 10⁶ guest processors on laptop RAM.
+// windowed barrier. By default the validator gets only the cores the
+// builder leaves, so the two stages never oversubscribe the machine; on
+// two cores that is one shard, the sequential core with no barrier. This
+// is the path that takes E1-style validation to n = 10⁶ guest processors
+// on laptop RAM.
 
 // StreamRunConfig tunes the streaming pipeline.
 type StreamRunConfig struct {
-	// Shards is the validator parallelism (clamped to [1, m]); 0 means
-	// GOMAXPROCS.
+	// Shards is the validator parallelism (clamped to [1, m]); 0 means the
+	// cores the builder leaves, max(1, GOMAXPROCS − BuildShards), because a
+	// spinning barrier shard that shares a core with a builder worker
+	// costs more than it saves.
 	Shards int
 	// BuildShards is the builder parallelism (clamped to [1, m]); 0 means
 	// max(1, GOMAXPROCS/2) — half the cores build, since validation has to
@@ -71,13 +76,30 @@ type StreamRunReport struct {
 	Fingerprint uint64
 }
 
+// resolveShards applies StreamRunConfig's auto-sizing on procs cores for
+// an m-processor host: an unset builder takes half the cores, an unset
+// validator the cores the builder leaves, and both are clamped to m.
+func resolveShards(shards, buildShards, procs, m int) (validate, build int) {
+	build = buildShards
+	if build <= 0 {
+		build = max(1, procs/2)
+	}
+	build = min(build, m)
+	validate = shards
+	if validate <= 0 {
+		validate = max(1, procs-build)
+	}
+	return min(validate, m), build
+}
+
 // RunStreamingEmbedding builds the queued embedding schedule for guest on
 // host under assignment f (nil = balanced) and validates it concurrently
 // through the sharded streaming validator. The builder side fans out across
 // cfg.BuildShards workers whose merged stream is byte-identical to the
-// serial builder's. Validation failure abandons the pipe, which unblocks
-// and stops the builder; cancelling cfg.Ctx tears both stages down — no
-// goroutine outlives the call either way.
+// serial builder's; unless cfg.Shards says otherwise, the validator takes
+// the remaining cores (see resolveShards). Validation failure abandons the
+// pipe, which unblocks and stops the builder; cancelling cfg.Ctx tears both
+// stages down — no goroutine outlives the call either way.
 func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamRunConfig) (*StreamRunReport, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -91,24 +113,7 @@ func RunStreamingEmbedding(guest, host *graph.Graph, f []int, T int, cfg StreamR
 	if window <= 0 {
 		window = 4
 	}
-	procs := runtime.GOMAXPROCS(0)
-	validateShards := cfg.Shards
-	if validateShards <= 0 {
-		validateShards = procs
-	}
-	if validateShards > m {
-		validateShards = m
-	}
-	buildShards := cfg.BuildShards
-	if buildShards <= 0 {
-		buildShards = procs / 2
-		if buildShards < 1 {
-			buildShards = 1
-		}
-	}
-	if buildShards > m {
-		buildShards = m
-	}
+	validateShards, buildShards := resolveShards(cfg.Shards, cfg.BuildShards, runtime.GOMAXPROCS(0), m)
 
 	pipe := pebble.NewPipe(window)
 	pipe.MeasureStalls = cfg.MeasureStalls

@@ -106,7 +106,8 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 }
 
 // TestRunStreamingEmbeddingAutoSizing: zero config resolves both sides of
-// the pipeline from GOMAXPROCS and reports the resolved values.
+// the pipeline from GOMAXPROCS and reports the resolved values; the
+// validator takes the cores the builder leaves.
 func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	guest, err := topology.RandomGuest(rng, 500, 3)
@@ -123,12 +124,59 @@ func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	if wantBuild < 1 {
 		wantBuild = 1
 	}
-	wantValidate := procs
+	wantValidate := procs - wantBuild
+	if wantValidate < 1 {
+		wantValidate = 1
+	}
 	if m := host.Graph.N(); wantValidate > m {
 		wantValidate = m
 	}
 	if rep.BuildShards != wantBuild || rep.ValidateShards != wantValidate {
 		t.Fatalf("auto-sized to build=%d validate=%d, want build=%d validate=%d",
 			rep.BuildShards, rep.ValidateShards, wantBuild, wantValidate)
+	}
+}
+
+// TestResolveShards pins StreamRunConfig's auto-sizing: half the cores
+// build, the validator gets what the builder leaves, both clamp to m, and
+// an explicit count keeps its meaning.
+func TestResolveShards(t *testing.T) {
+	cases := []struct {
+		shards, buildShards, procs, m int
+		wantValidate, wantBuild       int
+	}{
+		{0, 0, 1, 1, 1, 1},
+		{0, 0, 1, 3, 1, 1},
+		{0, 0, 1, 160, 1, 1},
+		{0, 0, 2, 1, 1, 1},
+		{0, 0, 2, 3, 1, 1},
+		{0, 0, 2, 160, 1, 1},
+		{0, 0, 3, 1, 1, 1},
+		{0, 0, 3, 3, 2, 1},
+		{0, 0, 3, 160, 2, 1},
+		{0, 0, 4, 1, 1, 1},
+		{0, 0, 4, 3, 2, 2},
+		{0, 0, 4, 160, 2, 2},
+		{0, 0, 8, 1, 1, 1},
+		{0, 0, 8, 3, 3, 3},
+		{0, 0, 8, 160, 4, 4},
+		// Explicit validator shards are kept, clamped only to m.
+		{4, 0, 2, 160, 4, 1},
+		{4, 0, 1, 3, 3, 1},
+		{1, 0, 8, 160, 1, 4},
+		// Explicit builder workers leave fewer cores, never fewer than one.
+		{0, 1, 8, 160, 7, 1},
+		{0, 2, 2, 160, 1, 2},
+		{0, 6, 4, 160, 1, 6},
+		{0, 5, 8, 3, 3, 3},
+		// Both explicit.
+		{3, 2, 2, 160, 3, 2},
+	}
+	for _, c := range cases {
+		v, b := resolveShards(c.shards, c.buildShards, c.procs, c.m)
+		if v != c.wantValidate || b != c.wantBuild {
+			t.Errorf("resolveShards(shards=%d, build=%d, procs=%d, m=%d) = validate %d, build %d; want %d, %d",
+				c.shards, c.buildShards, c.procs, c.m, v, b, c.wantValidate, c.wantBuild)
+		}
 	}
 }
