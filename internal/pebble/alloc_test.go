@@ -156,19 +156,50 @@ func (s *repeatSource) NextStep() ([]Op, error) {
 func TestShardedValidateWarmAllocations(t *testing.T) {
 	pr, _ := allocFixture(t)
 	sp := pr.Spec()
-	measure := func(reps int) float64 {
-		return testing.AllocsPerRun(50, func() {
-			if _, err := ValidateSharded(sp, &repeatSource{steps: pr.Steps, reps: reps}, ShardedOptions{Shards: 1}); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, shards := range []int{1, 2, 3} {
+		measure := func(reps int) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if _, err := ValidateSharded(sp, &repeatSource{steps: pr.Steps, reps: reps}, ShardedOptions{Shards: shards}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		base := measure(1)
+		long := measure(21)
+		extraSteps := float64(20 * len(pr.Steps))
+		perStep := (long - base) / extraSteps
+		if perStep > 0.05 {
+			t.Errorf("shards=%d: sharded validation allocates %.3f per marginal step (budget 0): steady state regressed", shards, perStep)
+		}
 	}
-	base := measure(1)
-	long := measure(21)
-	extraSteps := float64(20 * len(pr.Steps))
-	perStep := (long - base) / extraSteps
-	if perStep > 0.05 {
-		t.Errorf("sharded validation allocates %.3f per marginal step (budget 0): steady state regressed", perStep)
+}
+
+// TestChunkedLogSpillWarmAllocations pins the archive's steady state under
+// a memory budget: a spilled chunk's buffer becomes the next open chunk,
+// so sealing and spilling further chunks allocates no chunk buffers —
+// only the chunk index grows, amortized.
+func TestChunkedLogSpillWarmAllocations(t *testing.T) {
+	pr, _ := allocFixture(t)
+	log := NewChunkedLog(ChunkedLogOptions{
+		TargetChunkBytes: 1 << 10,
+		MemBudgetBytes:   4 << 10,
+		SpillDir:         t.TempDir(),
+	})
+	defer log.Close()
+	const chunksPerRun = 16
+	spillChunks := func() {
+		for stop := log.spillNext + chunksPerRun; log.spillNext < stop; {
+			for _, ops := range pr.Steps {
+				if err := log.AppendStep(ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	spillChunks() // reach the spilling steady state
+	avg := testing.AllocsPerRun(20, spillChunks)
+	if perChunk := avg / chunksPerRun; perChunk > 0.25 {
+		t.Errorf("spilling allocates %.2f per chunk (budget 0.25): spilled buffers are not reused", perChunk)
 	}
 }
 

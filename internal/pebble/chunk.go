@@ -14,9 +14,11 @@ import (
 // Chunked protocol storage. Steps are encoded into a compact varint binary
 // format and accumulated into chunks of ~TargetChunkBytes; when the
 // resident encoded bytes exceed MemBudgetBytes, sealed chunks spill to a
-// temporary file oldest-first. A ChunkedLog is a StepSink; Source() replays
-// it (loading spilled chunks back one at a time through a reused buffer),
-// and Materialize turns it back into a Protocol for the small-n analyses.
+// temporary file oldest-first, and a spilled chunk's buffer becomes the
+// next open chunk, so a long spilling stream allocates no chunk buffers in
+// steady state. A ChunkedLog is a StepSink; Source() replays it (loading
+// spilled chunks back one at a time through a reused buffer), and
+// Materialize turns it back into a Protocol for the small-n analyses.
 //
 // Encoding per step: uvarint op count, then per op five zigzag varints —
 // kind, proc, pebble.P, pebble.T, peer. Signed varints make the codec
@@ -114,6 +116,7 @@ type ChunkedLog struct {
 
 	cur      []byte
 	curSteps int
+	spare    []byte // a spilled chunk's emptied buffer, reused as the next cur
 
 	steps        int
 	totalBytes   int64
@@ -181,7 +184,10 @@ func (l *ChunkedLog) appendReady() error {
 		return l.err
 	}
 	if l.cur == nil {
-		l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
+		l.cur, l.spare = l.spare, nil
+		if l.cur == nil {
+			l.cur = make([]byte, 0, l.opts.TargetChunkBytes+l.opts.TargetChunkBytes/8)
+		}
 	}
 	return nil
 }
@@ -250,6 +256,9 @@ func (l *ChunkedLog) maybeSpill() error {
 		}
 		c.spillOff = l.spillOff
 		c.spilled = true
+		// Nothing reads a chunk's bytes before Source freezes the log, and
+		// nothing spills after, so the written buffer is free for reuse.
+		l.spare = c.data[:0]
 		c.data = nil
 		l.spillOff += int64(c.size)
 		l.resident -= int64(c.size)
@@ -286,6 +295,7 @@ func (l *ChunkedLog) Source() StepSource {
 			l.cur = nil
 			l.curSteps = 0
 		}
+		l.spare = nil
 		if l.opts.Obs != nil {
 			l.opts.Obs.Counter("pebble.chunk.bytes").Add(l.totalBytes)
 			l.opts.Obs.Counter("pebble.chunk.spilled_bytes").Add(l.spilledBytes)

@@ -130,6 +130,13 @@ func newQueuedPlan(guest, host *graph.Graph, f []int, T int) (*queuedPlan, error
 		return d
 	}
 
+	// A guest processor has at most one task per neighbour, so the task
+	// arrays never outgrow 2|E|; sizing them once saves the append regrowth
+	// that dominates the plan's allocation at n = 10⁶.
+	tasks := 2 * guest.M()
+	p.taskP = make([]int32, 0, tasks)
+	p.taskDst = make([]int32, 0, tasks)
+	p.tmplNext = make([]int32, 0, tasks)
 	p.tmplHead = make([]int32, m)
 	p.tmplTail = make([]int32, m)
 	for q := 0; q < m; q++ {
