@@ -490,6 +490,39 @@ func BenchmarkRandomRegularGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphBuild builds graphs on both sides of graph.Builder's dense
+// bound: a sparse random guest, where each duplicate check scans a short
+// list; K₁₀₀₀, where most checks probe the set of edges between long
+// lists; and a star whose 10⁵ leaves arrive in shuffled order, where the
+// hub's long list meets short ones.
+func BenchmarkGraphBuild(b *testing.B) {
+	b.Run("RandomGuest/n=1e5/c=3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := topology.RandomGuest(rand.New(rand.NewSource(1)), 100000, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Complete/n=1000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := topology.Complete(1000); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ShuffledStar/leaves=1e5", func(b *testing.B) {
+		leaves := rand.New(rand.NewSource(1)).Perm(100000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			gb := NewGraphBuilder(len(leaves) + 1)
+			for _, v := range leaves {
+				gb.MustAddEdge(0, v+1)
+			}
+			gb.Build()
+		}
+	})
+}
+
 func BenchmarkEmbeddingProtocol(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	guest, err := topology.RandomGuest(rng, 128, 4)

@@ -73,12 +73,13 @@ func (g *Graph) ConnectedComponents() (comp []int, count int) {
 	for i := range comp {
 		comp[i] = -1
 	}
+	queue := make([]int, 0, g.N())
 	for v := 0; v < g.N(); v++ {
 		if comp[v] >= 0 {
 			continue
 		}
 		comp[v] = count
-		queue := []int{v}
+		queue = append(queue[:0], v)
 		for head := 0; head < len(queue); head++ {
 			x := queue[head]
 			for _, w := range g.adj[x] {

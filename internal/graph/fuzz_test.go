@@ -14,6 +14,8 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"n":0}`)
 	f.Add(`{"n":2,"edges":[[0,0]]}`)
 	f.Add(`{`)
+	f.Add(`{"n":-1}`)
+	f.Add(`{"n":1099511627776}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		g, err := ReadJSON(strings.NewReader(data))
 		if err != nil {

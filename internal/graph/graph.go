@@ -53,22 +53,36 @@ type Graph struct {
 
 // Builder accumulates edges for a Graph. The zero value is not usable; call
 // NewBuilder.
+//
+// Duplicate edges are found on the adjacency lists the builder keeps anyway:
+// a query scans the shorter endpoint's list. Only when both lists are longer
+// than denseDegree does it look in dense, the set of exactly the edges
+// between two such lists, so every query costs at most denseDegree steps or
+// one set probe, and a sparse construction never allocates the set.
 type Builder struct {
-	n    int
-	adj  [][]int
-	seen map[Edge]struct{}
+	n     int
+	adj   [][]int
+	dense map[Edge]struct{}
+
+	// block holds unused first-capacity slots of smallCap ints each, and
+	// listed counts the vertices that have taken one.
+	block  []int
+	listed int
 }
+
+const (
+	// denseDegree is the longest adjacency list a duplicate check scans.
+	denseDegree = 32
+	// smallCap is the capacity each list first gets from the shared block.
+	smallCap = 4
+)
 
 // NewBuilder returns a Builder for a graph with n vertices (n ≥ 0).
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{
-		n:    n,
-		adj:  make([][]int, n),
-		seen: make(map[Edge]struct{}),
-	}
+	return &Builder{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of vertices the builder was created with.
@@ -85,14 +99,77 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	e := NewEdge(u, v)
-	if _, dup := b.seen[e]; dup {
+	if b.has(u, v) {
 		return nil
 	}
-	b.seen[e] = struct{}{}
-	b.adj[u] = append(b.adj[u], v)
-	b.adj[v] = append(b.adj[v], u)
+	b.push(u, v)
+	b.push(v, u)
+	du, dv := len(b.adj[u]), len(b.adj[v])
+	// A list that just grew past denseDegree brings its edges to other
+	// long lists into the set; the new edge joins if both lists are long.
+	if du == denseDegree+1 {
+		b.indexDense(u)
+	}
+	if dv == denseDegree+1 {
+		b.indexDense(v)
+	}
+	if du > denseDegree && dv > denseDegree {
+		b.markDense(u, v)
+	}
 	return nil
+}
+
+// has reports whether {u, v} was added; u ≠ v, both in range.
+func (b *Builder) has(u, v int) bool {
+	a, w := b.adj[u], v
+	if len(b.adj[v]) < len(a) {
+		a, w = b.adj[v], u
+	}
+	if len(a) > denseDegree {
+		_, ok := b.dense[NewEdge(u, v)]
+		return ok
+	}
+	for _, x := range a {
+		if x == w {
+			return true
+		}
+	}
+	return false
+}
+
+// push appends w to v's list, giving the list its first capacity from the
+// shared block.
+func (b *Builder) push(v, w int) {
+	if b.adj[v] == nil {
+		if len(b.block) == 0 {
+			// A block serves as many vertices as have lists already (an
+			// eighth at first), capped at those without: an eighth, an
+			// eighth, a quarter and a half, at most four per build.
+			k := min(max(b.listed, (b.n+7)/8), b.n-b.listed)
+			b.block = make([]int, k*smallCap)
+		}
+		b.adj[v] = b.block[:0:smallCap]
+		b.block = b.block[smallCap:]
+		b.listed++
+	}
+	b.adj[v] = append(b.adj[v], w)
+}
+
+// indexDense adds v's edges to other lists longer than denseDegree to the
+// set.
+func (b *Builder) indexDense(v int) {
+	for _, w := range b.adj[v] {
+		if len(b.adj[w]) > denseDegree {
+			b.markDense(v, w)
+		}
+	}
+}
+
+func (b *Builder) markDense(u, v int) {
+	if b.dense == nil {
+		b.dense = make(map[Edge]struct{})
+	}
+	b.dense[NewEdge(u, v)] = struct{}{}
 }
 
 // MustAddEdge is AddEdge that panics on error; for use in topology
@@ -108,24 +185,34 @@ func (b *Builder) HasEdge(u, v int) bool {
 	if u == v || u < 0 || v < 0 || u >= b.n || v >= b.n {
 		return false
 	}
-	_, ok := b.seen[NewEdge(u, v)]
-	return ok
+	return b.has(u, v)
 }
 
 // Degree returns the current degree of v in the builder.
 func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
 
 // Build finalizes the graph. The builder may be reused afterwards; the graph
-// does not alias builder memory.
+// does not alias builder memory. All lists share one backing array, each
+// sliced with capacity equal to its length, so an append to a Neighbors
+// result cannot write into the next vertex's list.
 func (b *Builder) Build() *Graph {
-	adj := make([][]int, b.n)
-	edges := 0
-	for v := range b.adj {
-		adj[v] = append([]int(nil), b.adj[v]...)
-		sort.Ints(adj[v])
-		edges += len(adj[v])
+	total := 0
+	for _, a := range b.adj {
+		total += len(a)
 	}
-	return &Graph{adj: adj, edges: edges / 2}
+	flat := make([]int, total)
+	adj := make([][]int, b.n)
+	off := 0
+	for v, a := range b.adj {
+		if len(a) == 0 {
+			continue
+		}
+		end := off + copy(flat[off:], a)
+		adj[v] = flat[off:end:end]
+		sort.Ints(adj[v])
+		off = end
+	}
+	return &Graph{adj: adj, edges: total / 2}
 }
 
 // FromEdges builds a graph on n vertices from an edge list. Duplicate edges

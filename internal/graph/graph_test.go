@@ -571,6 +571,22 @@ func TestGraphJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsCraftedVertexCounts: a count above the decoder cap is
+// an error before anything is allocated for it. Before CheckVertexCount,
+// {"n":1099511627776} ran the process out of memory.
+func TestReadJSONRejectsCraftedVertexCounts(t *testing.T) {
+	for _, data := range []string{`{"n":1099511627776}`, `{"n":16777217}`, `{"n":-1}`} {
+		if _, err := ReadJSON(strings.NewReader(data)); err == nil {
+			t.Errorf("ReadJSON accepted %s", data)
+		}
+	}
+	for n, ok := range map[int]bool{-1: false, 0: true, 1 << 24: true, 1<<24 + 1: false, 1 << 40: false} {
+		if err := CheckVertexCount(n); (err == nil) != ok {
+			t.Errorf("CheckVertexCount(%d) = %v", n, err)
+		}
+	}
+}
+
 func TestEccentricitiesParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomGraph(rng, 40, 0.15)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"universalnet/internal/graph"
@@ -410,11 +411,16 @@ func readGraphBinary(r *bufio.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Clamped first, so that a count of 2⁶³ or more cannot wrap negative.
+	nv := int(min(n, math.MaxInt))
+	if err := graph.CheckVertexCount(nv); err != nil {
+		return nil, err
+	}
 	ec, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(int(n))
+	b := graph.NewBuilder(nv)
 	for i := uint64(0); i < ec; i++ {
 		u, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -504,11 +510,10 @@ func (r *binaryStepReader) NextStep() ([]Op, error) {
 	if count > 1<<28 {
 		return nil, fmt.Errorf("pebble: binary: absurd op count %d", count)
 	}
-	if uint64(cap(r.opsBuf)) < count {
-		r.opsBuf = make([]Op, count)
-	}
-	r.opsBuf = r.opsBuf[:count]
-	for i := range r.opsBuf {
+	// The buffer grows with the ops actually read, not with the count the
+	// input claims, so a crafted count cannot allocate ahead of the data.
+	r.opsBuf = r.opsBuf[:0]
+	for i := uint64(0); i < count; i++ {
 		var vals [5]int64
 		for j := range vals {
 			v, err := binary.ReadVarint(r.br)
@@ -517,12 +522,12 @@ func (r *binaryStepReader) NextStep() ([]Op, error) {
 			}
 			vals[j] = v
 		}
-		r.opsBuf[i] = Op{
+		r.opsBuf = append(r.opsBuf, Op{
 			Kind:   OpKind(vals[0]),
 			Proc:   int(vals[1]),
 			Pebble: Type{P: int(vals[2]), T: int(vals[3])},
 			Peer:   int(vals[4]),
-		}
+		})
 	}
 	return r.opsBuf, nil
 }

@@ -2,7 +2,11 @@ package pebble
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,10 +14,57 @@ import (
 	"universalnet/internal/topology"
 )
 
+// craftedJSON are protocol documents whose graph vertex counts are negative
+// or far above graph.CheckVertexCount's cap. Each must be an error: before
+// the check, the first panicked and the second exhausted memory.
+var craftedJSON = []string{
+	`{"guest":{"n":-1},"host":{"n":1},"t":0,"steps":[]}`,
+	`{"guest":{"n":1},"host":{"n":1099511627776},"t":0,"steps":[]}`,
+}
+
+// upb1 returns a UPB1 stream: the magic, a guest vertex count n, then rest.
+func upb1(n uint64, rest ...byte) []byte {
+	return append(binary.AppendUvarint([]byte("UPB1"), n), rest...)
+}
+
+// craftedBinary are UPB1 streams with a crafted count. Each must be an
+// error. Before the checks, a guest of 2⁶³ vertices wrapped negative and
+// panicked, while the 11-byte stream with a guest of 2⁴⁰ vertices and the
+// step claiming 2²⁸ ops ran out of memory, which no recover can catch.
+var craftedBinary = [][]byte{
+	upb1(1<<63, 0),
+	upb1(1<<40, 0),
+	upb1(1<<24+1, 0),
+	// A one-vertex guest and host, T = 0, then a step of 2²⁸ ops.
+	upb1(1, append([]byte{0, 1, 0, 0, 1}, binary.AppendUvarint(nil, 1<<28)...)...),
+}
+
+func TestDecodersRejectCraftedCounts(t *testing.T) {
+	for _, data := range craftedJSON {
+		if _, err := ReadJSON(strings.NewReader(data)); err == nil {
+			t.Errorf("ReadJSON accepted %s", data)
+		}
+	}
+	for _, data := range craftedBinary {
+		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("ReadBinary accepted %x", data)
+		}
+	}
+	// The cap itself is admissible: the read fails only at the missing
+	// edge count that follows.
+	_, _, err := NewBinaryReader(bytes.NewReader(upb1(1 << 24)))
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("header with 2²⁴ vertices: %v, want EOF", err)
+	}
+}
+
 func FuzzProtocolReadJSON(f *testing.F) {
 	f.Add(`{"guest":{"n":2,"edges":[[0,1]]},"host":{"n":2,"edges":[[0,1]]},"t":1,"steps":[[{"kind":"generate","proc":0,"p":0,"t":1}]]}`)
 	f.Add(`{"guest":{"n":1},"host":{"n":1},"t":0,"steps":[]}`)
 	f.Add(`garbage`)
+	for _, data := range craftedJSON {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		pr, err := ReadJSON(strings.NewReader(data))
 		if err != nil {
@@ -32,6 +83,38 @@ func FuzzProtocolReadJSON(f *testing.F) {
 		var buf bytes.Buffer
 		if err := pr.WriteJSON(&buf); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzReadBinary feeds arbitrary bytes to the UPB1 decoder. It must return
+// an error or a protocol, never panic or run out of memory, and a protocol
+// it accepts must come back unchanged through WriteBinary.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := streamFixture(f).WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, data := range craftedBinary {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pr, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := pr.WriteBinary(&re); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := ReadBinary(&re)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if back.T != pr.T || !back.Guest.Equal(pr.Guest) || !back.Host.Equal(pr.Host) ||
+			!reflect.DeepEqual(back.Steps, pr.Steps) {
+			t.Fatal("round trip changed the protocol")
 		}
 	})
 }

@@ -42,6 +42,9 @@ func toWireGraph(g *graph.Graph) wireGraph {
 }
 
 func fromWireGraph(w wireGraph) (*graph.Graph, error) {
+	if err := graph.CheckVertexCount(w.N); err != nil {
+		return nil, err
+	}
 	b := graph.NewBuilder(w.N)
 	for _, e := range w.Edges {
 		if err := b.AddEdge(e[0], e[1]); err != nil {

@@ -49,7 +49,7 @@ func RandomWithDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph)
 	}
 
 	for restart := 0; restart < maxRestarts; restart++ {
-		g, ok := tryDegreeSequence(rng, seq, forbidden)
+		g, ok := tryDegreeSequence(rng, seq, total, forbidden)
 		if ok {
 			return g, nil
 		}
@@ -57,12 +57,13 @@ func RandomWithDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph)
 	return nil, ErrGenerationFailed
 }
 
-// tryDegreeSequence performs one stub-matching pass. It returns ok = false
-// when it dead-ends (all remaining stub pairs are conflicting).
-func tryDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph) (*graph.Graph, bool) {
+// tryDegreeSequence performs one stub-matching pass over the total stubs of
+// seq. It returns ok = false when it dead-ends (all remaining stub pairs are
+// conflicting).
+func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Graph) (*graph.Graph, bool) {
 	n := len(seq)
 	// stubs[i] = vertex owning stub i.
-	var stubs []int
+	stubs := make([]int, 0, total)
 	for v, d := range seq {
 		for j := 0; j < d; j++ {
 			stubs = append(stubs, v)
