@@ -254,10 +254,11 @@ func E13Table(rows []E13Row) *Table {
 }
 
 // ---------------------------------------------------------------------------
-// E15 — protocol-builder ablation: phase-based vs pipelined scheduling of
-// the Theorem 2.1 protocol under the one-op-per-processor model.
+// E15 — protocol-builder ablation: phase-based vs pipelined vs multicast
+// scheduling of the Theorem 2.1 protocol under the one-op-per-processor
+// model.
 
-// E15Row compares the two builders on one instance.
+// E15Row compares the three builders on one instance.
 type E15Row struct {
 	N, M, T    int
 	PhasedK    float64
@@ -267,7 +268,8 @@ type E15Row struct {
 	MultiRatio float64 // multicast / phased host steps
 }
 
-// E15BuilderAblation runs both protocol builders across load regimes.
+// E15BuilderAblation runs the phase-based, pipelined and multicast
+// builders across load regimes.
 func E15BuilderAblation(ctx context.Context, seed int64) ([]E15Row, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var rows []E15Row

@@ -73,6 +73,35 @@ func TestValidateSmallProtocolAllocations(t *testing.T) {
 	}
 }
 
+// pipelinedBuildAllocBudget bounds one BuildPipelinedProtocol call on the
+// root BenchmarkPipelinedProtocol fixture (a 4-regular guest of n = 64 on
+// the d = 4 wrapped butterfly, T = 3). The builder reuses its busy, ops,
+// gains and transfer buffers across host steps, so what remains is the
+// plan, the State self-check and one exact-size copy per materialized
+// step: 376 allocations on go1.24. A per-step buffer or per-guest map
+// creeping back costs thousands.
+const pipelinedBuildAllocBudget = 500
+
+func TestPipelinedBuildAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	guest, err := topology.RandomGuest(rng, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := topology.WrappedButterfly(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := BuildPipelinedProtocol(guest, host, nil, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > pipelinedBuildAllocBudget {
+		t.Errorf("BuildPipelinedProtocol allocates %.0f (budget %d): per-step buffer reuse regressed", avg, pipelinedBuildAllocBudget)
+	}
+}
+
 // Streaming warm-path budgets: the per-step steady state of the pipeline —
 // pipe hand-off, step codec, and sharded validation — allocates nothing,
 // matching the dense engine's warm ApplyStep guarantee. These pins are what

@@ -30,168 +30,68 @@ func BuildEmbeddingProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol
 // identical schedule, but each host step is emitted through sink as soon as
 // it is assembled, so the protocol never has to exist as a whole. The ops
 // slice passed to the sink is reused across steps.
+//
+// Distribution rule: every task's copy starts on its guest's host, and each
+// host step scans all tasks in plan order, moving a copy one next hop when
+// both its host and that hop are still free this step.
 func StreamEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	f, err := checkEmbedding(guest, host, f, T)
+	p, err := newEmbeddingPlan(guest, host, f, T)
 	if err != nil {
 		return err
 	}
-	n, m := guest.N(), host.N()
-	guestsOf, maxLoad := guestsPerHost(f, m)
-
-	// Distribution tasks per guest step: pebble (P_i, t) from f(i) to the
-	// distinct hosts of i's neighbors. The task list is identical for every t
-	// up to the pebble's time coordinate, so routes are planned once into a
-	// reusable buffer; `seen` is a stamped slice rather than a per-guest map.
-	type task struct {
-		pb  Type
-		at  int
-		dst int
-	}
-	var tasks []task
-	seenStamp := make([]int32, m)
-	seenEpoch := int32(0)
-	buildTasks := func(t int) []task {
-		tasks = tasks[:0]
-		for i := 0; i < n; i++ {
-			seenEpoch++
-			seenStamp[f[i]] = seenEpoch
-			for _, j := range guest.Neighbors(i) {
-				h := f[j]
-				if seenStamp[h] != seenEpoch {
-					seenStamp[h] = seenEpoch
-					tasks = append(tasks, task{pb: Type{P: i, T: t}, at: f[i], dst: h})
-				}
-			}
-		}
-		return tasks
-	}
-
-	// Next-hop via cached BFS distance-to-destination.
-	distCache := make([][]int, m)
-	distTo := func(dst int) []int {
-		if d := distCache[dst]; d != nil {
-			return d
-		}
-		d := host.BFS(dst)
-		distCache[dst] = d
-		return d
-	}
-	nextHop := func(at, dst int) int {
-		d := distTo(dst)
-		for _, w := range host.Neighbors(at) {
-			if d[w] == d[at]-1 {
-				return w
-			}
-		}
-		return -1
-	}
-
-	// Ops are assembled in a reusable scratch handed to the sink each step;
-	// retaining sinks (ProtocolSink, ChunkedLog) copy, so steps carry no
-	// append-growth slack in the materialized form.
-	var opsBuf []Op
-	emit := func() error { return sink.AppendStep(opsBuf) }
-	busyStamp := make([]int32, m)
+	at := make([]int32, len(p.taskP)) // host holding each task's copy
+	busyStamp := make([]int32, p.m)
 	busyEpoch := int32(0)
+	var ops []Op
 	for t := 1; t <= T; t++ {
-		// Generation phase: maxLoad host steps.
-		for r := 0; r < maxLoad; r++ {
-			opsBuf = opsBuf[:0]
-			for q := 0; q < m; q++ {
-				if r < len(guestsOf[q]) {
-					opsBuf = append(opsBuf, Op{Kind: Generate, Proc: q, Pebble: Type{P: guestsOf[q][r], T: t}})
-				}
-			}
-			if err := emit(); err != nil {
-				return err
-			}
+		if ops, err = p.generate(sink, t, 0, p.m, ops); err != nil {
+			return err
 		}
 		if t == T {
 			break // final pebbles need not be distributed
 		}
-		// Distribution phase.
-		tasks := buildTasks(t)
+		for id, i := range p.taskP {
+			at[id] = int32(p.f[i])
+		}
 		guard := 0
-		for remaining := len(tasks); remaining > 0; {
+		for remaining := len(at); remaining > 0; {
 			guard++
-			if guard > 16*(m+n)*(maxLoad+1) {
+			if guard > p.maxSteps {
 				return fmt.Errorf("pebble: distribution stalled at guest step %d", t)
 			}
 			busyEpoch++
-			opsBuf = opsBuf[:0]
-			for ti := range tasks {
-				tk := &tasks[ti]
-				if tk.at == tk.dst {
+			ops = ops[:0]
+			for id, q := range at {
+				dst := p.taskDst[id]
+				if q == dst || busyStamp[q] == busyEpoch {
 					continue
 				}
-				if busyStamp[tk.at] == busyEpoch {
-					continue
-				}
-				v := nextHop(tk.at, tk.dst)
+				v := p.nhop[dst][q]
 				if v < 0 {
-					return fmt.Errorf("pebble: no route from %d to %d", tk.at, tk.dst)
+					return fmt.Errorf("pebble: no route from %d to %d", q, dst)
 				}
 				if busyStamp[v] == busyEpoch {
 					continue
 				}
-				busyStamp[tk.at] = busyEpoch
+				busyStamp[q] = busyEpoch
 				busyStamp[v] = busyEpoch
-				opsBuf = append(opsBuf, Op{Kind: Send, Proc: tk.at, Pebble: tk.pb, Peer: v})
-				opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: tk.pb, Peer: tk.at})
-				tk.at = v
-				if tk.at == tk.dst {
+				pb := Type{P: int(p.taskP[id]), T: t}
+				ops = append(ops, Op{Kind: Send, Proc: int(q), Pebble: pb, Peer: int(v)})
+				ops = append(ops, Op{Kind: Receive, Proc: int(v), Pebble: pb, Peer: int(q)})
+				at[id] = v
+				if v == dst {
 					remaining--
 				}
 			}
-			if len(opsBuf) == 0 {
+			if len(ops) == 0 {
 				return fmt.Errorf("pebble: no progress in distribution at guest step %d", t)
 			}
-			if err := emit(); err != nil {
+			if err := sink.AppendStep(ops); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// checkEmbedding runs the argument checks every embedding builder shares:
-// T ≥ 1, a connected host, and one valid host per guest in f. A nil f
-// selects BalancedAssignment; the assignment in force is returned.
-func checkEmbedding(guest, host *graph.Graph, f []int, T int) ([]int, error) {
-	n, m := guest.N(), host.N()
-	if T < 1 {
-		return nil, fmt.Errorf("pebble: need T ≥ 1, got %d", T)
-	}
-	if !host.IsConnected() {
-		return nil, fmt.Errorf("pebble: host must be connected")
-	}
-	if f == nil {
-		f = BalancedAssignment(n, m)
-	}
-	if len(f) != n {
-		return nil, fmt.Errorf("pebble: assignment length %d, want %d", len(f), n)
-	}
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("pebble: guest %d assigned to invalid host %d", i, q)
-		}
-	}
-	return f, nil
-}
-
-// guestsPerHost lists each of the m hosts' guests in index order — the
-// generation schedule — and returns the longest list's length.
-func guestsPerHost(f []int, m int) (guestsOf [][]int, maxLoad int) {
-	guestsOf = make([][]int, m)
-	for i, q := range f {
-		guestsOf[q] = append(guestsOf[q], i)
-	}
-	for _, gs := range guestsOf {
-		if len(gs) > maxLoad {
-			maxLoad = len(gs)
-		}
-	}
-	return guestsOf, maxLoad
 }
 
 // BalancedAssignment returns the canonical load-balanced map f of

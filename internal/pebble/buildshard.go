@@ -68,11 +68,11 @@ type BuildShardedStats struct {
 // remains responsible for unblocking sink if it can block indefinitely
 // (RunStreamingEmbedding abandons its pipe's read side).
 func StreamQueuedEmbeddingProtocolSharded(ctx context.Context, guest, host *graph.Graph, f []int, T int, opts BuildShardedOptions, sink StepSink) error {
-	p, err := newQueuedPlan(guest, host, f, T)
+	p, err := newEmbeddingPlan(guest, host, f, T)
 	if err != nil {
 		return err
 	}
-	return streamSharded(ctx, p.m, opts, p.stream, sink)
+	return streamSharded(ctx, p.m, opts, p.streamQueued, sink)
 }
 
 // streamSharded fans a ranged builder core out over opts.Workers goroutines

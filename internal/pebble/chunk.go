@@ -557,7 +557,10 @@ func NewBinaryReader(r io.Reader) (Spec, StepSource, error) {
 	if err != nil {
 		return Spec{}, nil, fmt.Errorf("pebble: binary: %w", err)
 	}
-	sp := Spec{Guest: guest, Host: host, T: int(T)}
+	sp := Spec{Guest: guest, Host: host, T: int(min(T, math.MaxInt))}
+	if err := checkDecodedSpec(guest.N(), host.N(), sp.T); err != nil {
+		return Spec{}, nil, err
+	}
 	return sp, &binaryStepReader{br: br}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -14,12 +15,19 @@ import (
 	"universalnet/internal/topology"
 )
 
-// craftedJSON are protocol documents whose graph vertex counts are negative
-// or far above graph.CheckVertexCount's cap. Each must be an error: before
-// the check, the first panicked and the second exhausted memory.
+// craftedJSON are protocol documents with a crafted vertex count or
+// horizon. Each must be an error. Before graph.CheckVertexCount, a count of
+// -1 panicked and one of 2⁴⁰ exhausted memory. Before checkDecodedSpec, the
+// rest decoded and Validate then ran out of memory: T = 2⁴⁰; 2²⁴ guests on
+// 2²⁴ hosts, within the vertex cap but 2⁴⁸ possession bits; and T = 2⁶²,
+// where (T+1)·n wrapped to 4.
 var craftedJSON = []string{
 	`{"guest":{"n":-1},"host":{"n":1},"t":0,"steps":[]}`,
 	`{"guest":{"n":1},"host":{"n":1099511627776},"t":0,"steps":[]}`,
+	`{"guest":{"n":1},"host":{"n":1},"t":1099511627776,"steps":[]}`,
+	`{"guest":{"n":16777216},"host":{"n":16777216},"t":0,"steps":[]}`,
+	`{"guest":{"n":4},"host":{"n":1},"t":4611686018427387904,"steps":[]}`,
+	`{"guest":{"n":1},"host":{"n":1},"t":-1,"steps":[]}`,
 }
 
 // upb1 returns a UPB1 stream: the magic, a guest vertex count n, then rest.
@@ -27,16 +35,29 @@ func upb1(n uint64, rest ...byte) []byte {
 	return append(binary.AppendUvarint([]byte("UPB1"), n), rest...)
 }
 
+// upb1Horizon returns a complete UPB1 stream with no steps: an edgeless
+// guest of n vertices, one host vertex, and horizon T.
+func upb1Horizon(n, T uint64) []byte {
+	return append(binary.AppendUvarint(upb1(n, 0, 1, 0), T), 0)
+}
+
 // craftedBinary are UPB1 streams with a crafted count. Each must be an
 // error. Before the checks, a guest of 2⁶³ vertices wrapped negative and
 // panicked, while the 11-byte stream with a guest of 2⁴⁰ vertices and the
 // step claiming 2²⁸ ops ran out of memory, which no recover can catch.
+// Before checkDecodedSpec, the horizon streams decoded, and validating
+// them ran out of memory (T = 2⁴⁰), panicked in makeslice (T = 2⁶²), or
+// sized the tables from a wrapped (T+1)·n (T = 2⁶³ reads as -2⁶³).
 var craftedBinary = [][]byte{
 	upb1(1<<63, 0),
 	upb1(1<<40, 0),
 	upb1(1<<24+1, 0),
 	// A one-vertex guest and host, T = 0, then a step of 2²⁸ ops.
 	upb1(1, append([]byte{0, 1, 0, 0, 1}, binary.AppendUvarint(nil, 1<<28)...)...),
+	upb1Horizon(1, 1<<40),
+	upb1Horizon(1, 1<<62),
+	upb1Horizon(4, 1<<62),
+	upb1Horizon(1, 1<<63),
 }
 
 func TestDecodersRejectCraftedCounts(t *testing.T) {
@@ -56,6 +77,56 @@ func TestDecodersRejectCraftedCounts(t *testing.T) {
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("header with 2²⁴ vertices: %v, want EOF", err)
 	}
+	// A crafted horizon is refused with the header, before a validator
+	// could size anything from it.
+	if _, _, err := NewBinaryReader(bytes.NewReader(upb1Horizon(1, 1<<40))); err == nil {
+		t.Error("NewBinaryReader accepted T = 2⁴⁰")
+	}
+}
+
+// TestDecodedSpecCeiling pins the decoder ceiling against the specs the
+// repository builds: bigsim's n = 10⁶ and the out-of-core ladder's
+// n = 10⁷, both on the d = 5 wrapped butterfly (m = 160) at T = 2, pass;
+// one step more of horizon at 10⁷, and the crafted shapes, do not.
+func TestDecodedSpecCeiling(t *testing.T) {
+	for _, ok := range []struct{ n, m, T int }{
+		{1_000_000, 160, 2},
+		{10_000_000, 160, 2},
+		{100_000, 896, 2},
+		{0, 1, 0},
+		{1 << 24, 1, 0},
+	} {
+		if err := checkDecodedSpec(ok.n, ok.m, ok.T); err != nil {
+			t.Errorf("n=%d m=%d T=%d rejected: %v", ok.n, ok.m, ok.T, err)
+		}
+	}
+	for _, bad := range []struct{ n, m, T int }{
+		{10_000_000, 160, 3},
+		{1, 1, 1 << 40},
+		{4, 1, 1 << 62},
+		{1, 1, math.MaxInt},
+		{0, 1, math.MaxInt},
+		{1 << 24, 1 << 24, 0},
+		{1, 1, -1},
+		{-1, 1, 0},
+		{1, 1<<24 + 1, 0},
+	} {
+		if err := checkDecodedSpec(bad.n, bad.m, bad.T); err == nil {
+			t.Errorf("n=%d m=%d T=%d accepted", bad.n, bad.m, bad.T)
+		}
+	}
+}
+
+// validateNoPanic validates a decoded protocol, which may be illegal:
+// Validate must reject it, not panic.
+func validateNoPanic(t *testing.T, pr *Protocol) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Validate panicked: %v", r)
+		}
+	}()
+	_, _ = pr.Validate()
 }
 
 func FuzzProtocolReadJSON(f *testing.F) {
@@ -70,15 +141,7 @@ func FuzzProtocolReadJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Decoded protocols may be illegal — Validate must reject, not panic.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Validate panicked: %v", r)
-				}
-			}()
-			_, _ = pr.Validate()
-		}()
+		validateNoPanic(t, pr)
 		// And re-encoding must succeed for anything we decoded.
 		var buf bytes.Buffer
 		if err := pr.WriteJSON(&buf); err != nil {
@@ -88,8 +151,9 @@ func FuzzProtocolReadJSON(f *testing.F) {
 }
 
 // FuzzReadBinary feeds arbitrary bytes to the UPB1 decoder. It must return
-// an error or a protocol, never panic or run out of memory, and a protocol
-// it accepts must come back unchanged through WriteBinary.
+// an error or a protocol, never panic or run out of memory; a protocol it
+// accepts must validate or be rejected without a panic, and come back
+// unchanged through WriteBinary.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	if err := streamFixture(f).WriteBinary(&buf); err != nil {
@@ -104,6 +168,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		validateNoPanic(t, pr)
 		var re bytes.Buffer
 		if err := pr.WriteBinary(&re); err != nil {
 			t.Fatalf("re-encode: %v", err)

@@ -41,10 +41,9 @@ func toWireGraph(g *graph.Graph) wireGraph {
 	return w
 }
 
+// fromWireGraph builds a graph whose vertex count checkDecodedSpec has
+// already capped.
 func fromWireGraph(w wireGraph) (*graph.Graph, error) {
-	if err := graph.CheckVertexCount(w.N); err != nil {
-		return nil, err
-	}
 	b := graph.NewBuilder(w.N)
 	for _, e := range w.Edges {
 		if err := b.AddEdge(e[0], e[1]); err != nil {
@@ -104,6 +103,11 @@ func ReadJSON(r io.Reader) (*Protocol, error) {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&wp); err != nil {
 		return nil, fmt.Errorf("pebble: decode: %w", err)
+	}
+	// Checked before either graph is built: two graphs at the vertex cap
+	// alone take 1.6 GB.
+	if err := checkDecodedSpec(wp.Guest.N, wp.Host.N, wp.T); err != nil {
+		return nil, err
 	}
 	guest, err := fromWireGraph(wp.Guest)
 	if err != nil {

@@ -1,154 +1,162 @@
 package pebble
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"universalnet/internal/graph"
 )
 
-// BuildMulticastProtocol is the third protocol builder: like the phase-based
-// builder, but each pebble is distributed along a shortest-path tree that
-// covers all of its destination hosts, so shared path prefixes carry ONE
-// copy that fans out (pebbles are copyable — the model's Send keeps the
-// original). Unicast builders ship a separate copy per destination; the
-// multicast tree ships one per tree edge, cutting both operations and, on
-// branching hosts, host steps.
+// BuildMulticastProtocol is the multicast embedding builder: like the
+// phase-based builder, but each pebble is distributed along a shortest-path
+// tree that covers all of its destination hosts, so shared path prefixes
+// carry ONE copy that fans out (pebbles are copyable — the model's Send
+// keeps the original). Unicast builders ship a separate copy per
+// destination; the multicast tree ships one per tree edge, cutting both
+// operations and, on branching hosts, host steps.
 func BuildMulticastProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
-	f, err := checkEmbedding(guest, host, f, T)
+	p, err := newEmbeddingPlan(guest, host, f, T)
 	if err != nil {
 		return nil, err
 	}
-	n, m := guest.N(), host.N()
-	guestsOf, maxLoad := guestsPerHost(f, m)
-
-	// BFS parents from each source host (cached): parent[src][v] = previous
-	// hop on a shortest path src→v.
-	parentCache := make(map[int][]int)
-	parentsFrom := func(src int) []int {
-		if p, ok := parentCache[src]; ok {
-			return p
-		}
-		parent := make([]int, m)
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[src] = src
-		queue := []int{src}
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, w := range host.Neighbors(v) {
-				if parent[w] < 0 {
-					parent[w] = v
-					queue = append(queue, w)
-				}
-			}
-		}
-		parentCache[src] = parent
-		return parent
-	}
-
-	// Multicast transfer: one pending hop per tree edge; a hop becomes
-	// eligible once its tail holds the pebble.
-	type hop struct {
-		pb       Type
-		from, to int
-	}
 	pr := &Protocol{Guest: guest, Host: host, T: T}
-	for t := 1; t <= T; t++ {
-		// Generation phase.
-		for r := 0; r < maxLoad; r++ {
-			var ops []Op
-			for q := 0; q < m; q++ {
-				if r < len(guestsOf[q]) {
-					ops = append(ops, Op{Kind: Generate, Proc: q, Pebble: Type{P: guestsOf[q][r], T: t}})
-				}
-			}
-			pr.Steps = append(pr.Steps, ops)
-		}
-		if t == T {
-			break
-		}
-		// Build the multicast trees: for each guest i, the union of
-		// shortest paths from f(i) to every destination host.
-		var hops []hop
-		holds := make(map[[2]int]bool) // (host, guest) → holds (P_i, t)
-		for i := 0; i < n; i++ {
-			src := f[i]
-			holds[[2]int{src, i}] = true
-			dsts := map[int]bool{}
-			for _, j := range guest.Neighbors(i) {
-				if f[j] != src {
-					dsts[f[j]] = true
-				}
-			}
-			if len(dsts) == 0 {
-				continue
-			}
-			parent := parentsFrom(src)
-			edges := map[[2]int]bool{} // (from, to) tree edges, deduped
-			for d := range dsts {
-				for v := d; v != src; v = parent[v] {
-					edges[[2]int{parent[v], v}] = true
-				}
-			}
-			keys := make([][2]int, 0, len(edges))
-			for e := range edges {
-				keys = append(keys, e)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a][0] != keys[b][0] {
-					return keys[a][0] < keys[b][0]
-				}
-				return keys[a][1] < keys[b][1]
-			})
-			for _, e := range keys {
-				hops = append(hops, hop{pb: Type{P: i, T: t}, from: e[0], to: e[1]})
-			}
-		}
-		// Schedule: each step, run eligible hops greedily (one op per
-		// processor). A hop is eligible when its tail holds the pebble.
-		guard := 0
-		remaining := len(hops)
-		done := make([]bool, len(hops))
-		for remaining > 0 {
-			guard++
-			if guard > 16*(m+n)*(maxLoad+2) {
-				return nil, fmt.Errorf("pebble: multicast distribution stalled at guest step %d", t)
-			}
-			busy := make(map[int]bool)
-			var ops []Op
-			progressed := false
-			for hi := range hops {
-				if done[hi] {
-					continue
-				}
-				hp := &hops[hi]
-				if !holds[[2]int{hp.from, hp.pb.P}] {
-					continue
-				}
-				if busy[hp.from] || busy[hp.to] {
-					continue
-				}
-				busy[hp.from] = true
-				busy[hp.to] = true
-				ops = append(ops, Op{Kind: Send, Proc: hp.from, Pebble: hp.pb, Peer: hp.to})
-				ops = append(ops, Op{Kind: Receive, Proc: hp.to, Pebble: hp.pb, Peer: hp.from})
-				done[hi] = true
-				remaining--
-				progressed = true
-			}
-			if !progressed {
-				return nil, fmt.Errorf("pebble: multicast deadlock at guest step %d (%d hops left)", t, remaining)
-			}
-			// Apply holds after the step (synchronous semantics).
-			for _, op := range ops {
-				if op.Kind == Receive {
-					holds[[2]int{op.Proc, op.Pebble.P}] = true
-				}
-			}
-			pr.Steps = append(pr.Steps, ops)
-		}
+	if err := p.streamMulticast(&ProtocolSink{Proto: pr}); err != nil {
+		return nil, err
 	}
 	return pr, nil
+}
+
+// multicastHop is one edge of a guest's multicast tree: guest p's pebble
+// crosses from → to. in is the index of the tree's hop into from, or -1
+// when from is the tree's root, the guest's own host.
+type multicastHop struct {
+	p, from, to, in int32
+}
+
+// streamMulticast emits the multicast schedule: the plan's generation
+// phase, then a distribution phase that runs the tree hops greedily in
+// order, one op per processor per step, each hop once its tail holds the
+// pebble.
+func (p *embeddingPlan) streamMulticast(sink StepSink) error {
+	m := p.m
+	// BFS parents from each source host: parent[src][v] is the previous
+	// hop on a shortest path src→v. These trees follow their own shortest
+	// paths, not the plan's next hops.
+	parent := make([][]int32, m)
+	parentsFrom := func(src int32) []int32 {
+		if par := parent[src]; par != nil {
+			return par
+		}
+		par := make([]int32, m)
+		for i := range par {
+			par[i] = -1
+		}
+		par[src] = src
+		queue := []int32{src}
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, w := range p.host.Neighbors(int(v)) {
+				if par[w] < 0 {
+					par[w] = v
+					queue = append(queue, int32(w))
+				}
+			}
+		}
+		parent[src] = par
+		return par
+	}
+
+	// The trees are the same at every guest step, so their hops are planned
+	// once. Guest i's tree is the union of the shortest paths from f(i) to
+	// its tasks' destinations; a walk up from a destination stops at the
+	// root or at a node already in the tree. The hops of one tree are
+	// ordered by (from, to).
+	var hops []multicastHop
+	inTree := make([]int32, m) // guest+1 whose tree last took host v
+	into := make([]int32, m)   // index of the hop into v in that tree
+	var nodes []int32
+	for lo := 0; lo < len(p.taskP); {
+		i := p.taskP[lo]
+		hi := lo + 1
+		for hi < len(p.taskP) && p.taskP[hi] == i {
+			hi++
+		}
+		src := int32(p.f[i])
+		par := parentsFrom(src)
+		nodes = nodes[:0]
+		for _, d := range p.taskDst[lo:hi] {
+			for v := d; v != src && inTree[v] != i+1; v = par[v] {
+				inTree[v] = i + 1
+				nodes = append(nodes, v)
+			}
+		}
+		slices.SortFunc(nodes, func(a, b int32) int {
+			if c := cmp.Compare(par[a], par[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for k, v := range nodes {
+			into[v] = int32(len(hops) + k)
+		}
+		for _, v := range nodes {
+			in := int32(-1)
+			if par[v] != src {
+				in = into[par[v]]
+			}
+			hops = append(hops, multicastHop{p: i, from: par[v], to: v, in: in})
+		}
+		lo = hi
+	}
+
+	// A hop whose in-hop ran this very step is blocked anyway: its tail was
+	// that hop's head and is busy. So marking hops done as they run keeps
+	// the model's synchronous semantics.
+	done := make([]bool, len(hops))
+	busyStamp := make([]int32, m)
+	busyEpoch := int32(0)
+	var ops []Op
+	for t := 1; t <= p.T; t++ {
+		var err error
+		if ops, err = p.generate(sink, t, 0, m, ops); err != nil {
+			return err
+		}
+		if t == p.T {
+			break
+		}
+		clear(done)
+		guard := 0
+		for remaining := len(hops); remaining > 0; {
+			guard++
+			if guard > p.maxSteps {
+				return fmt.Errorf("pebble: multicast distribution stalled at guest step %d", t)
+			}
+			busyEpoch++
+			ops = ops[:0]
+			for k := range hops {
+				hp := &hops[k]
+				if done[k] || hp.in >= 0 && !done[hp.in] {
+					continue
+				}
+				if busyStamp[hp.from] == busyEpoch || busyStamp[hp.to] == busyEpoch {
+					continue
+				}
+				busyStamp[hp.from] = busyEpoch
+				busyStamp[hp.to] = busyEpoch
+				pb := Type{P: int(hp.p), T: t}
+				ops = append(ops, Op{Kind: Send, Proc: int(hp.from), Pebble: pb, Peer: int(hp.to)})
+				ops = append(ops, Op{Kind: Receive, Proc: int(hp.to), Pebble: pb, Peer: int(hp.from)})
+				done[k] = true
+				remaining--
+			}
+			if len(ops) == 0 {
+				return fmt.Errorf("pebble: multicast deadlock at guest step %d (%d hops left)", t, remaining)
+			}
+			if err := sink.AppendStep(ops); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

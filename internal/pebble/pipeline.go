@@ -2,7 +2,7 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"universalnet/internal/graph"
 )
@@ -20,46 +20,30 @@ import (
 // quantifies the gap.
 func BuildPipelinedProtocol(guest, host *graph.Graph, f []int, T int) (*Protocol, error) {
 	pr := &Protocol{Guest: guest, Host: host, T: T}
-	// ownedSink: the builder allocates a fresh ops slice per step, so the
-	// materialized protocol can own them without a copy (preserving the
-	// builder's historical allocation profile).
-	if err := streamPipelined(guest, host, f, T, &ownedSink{proto: pr}); err != nil {
+	if err := StreamPipelinedProtocol(guest, host, f, T, &ProtocolSink{Proto: pr}); err != nil {
 		return nil, err
 	}
 	return pr, nil
 }
 
 // StreamPipelinedProtocol emits the pipelined greedy schedule through sink,
-// one host step at a time. Unlike the materializing wrapper it hands the
-// sink a slice it will not reuse, but the StepSink contract still only
-// guarantees validity for the duration of the call.
+// one host step at a time. The ops slice passed to the sink is reused
+// across steps.
 func StreamPipelinedProtocol(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	return streamPipelined(guest, host, f, T, sink)
-}
-
-func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) error {
-	f, err := checkEmbedding(guest, host, f, T)
+	p, err := newEmbeddingPlan(guest, host, f, T)
 	if err != nil {
 		return err
 	}
-	n, m := guest.N(), host.N()
+	n, m := p.n, p.m
 
-	// Transfer tasks: deliver (P_i, t) from f(i) to the host of each guest
-	// neighbor (deduplicated). Created when (P_i, t) is generated, t < T.
-	type task struct {
-		pb  Type
-		at  int
-		dst int
+	// The plan lists tasks in guest order; guest i's pebbles go to the
+	// destinations of tasks taskOff[i] up to taskOff[i+1].
+	taskOff := make([]int32, n+1)
+	for _, i := range p.taskP {
+		taskOff[i+1]++
 	}
-	destsOf := make([][]int, n) // distinct foreign hosts needing i's pebbles
 	for i := 0; i < n; i++ {
-		seen := map[int]bool{f[i]: true}
-		for _, j := range guest.Neighbors(i) {
-			if !seen[f[j]] {
-				seen[f[j]] = true
-				destsOf[i] = append(destsOf[i], f[j])
-			}
-		}
+		taskOff[i+1] += taskOff[i]
 	}
 
 	// Host-local readiness bookkeeping (mirrors State, kept separately so
@@ -69,13 +53,12 @@ func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) er
 	for i := range nextGen {
 		nextGen[i] = 1
 	}
-	guestsOf, _ := guestsPerHost(f, m)
 	canGen := func(i int) bool {
 		t := nextGen[i]
 		if t > T {
 			return false
 		}
-		q := f[i]
+		q := p.f[i]
 		if !st.Contains(q, Type{P: i, T: t - 1}) {
 			return false
 		}
@@ -87,90 +70,76 @@ func streamPipelined(guest, host *graph.Graph, f []int, T int, sink StepSink) er
 		return true
 	}
 
-	distCache := make(map[int][]int)
-	distTo := func(dst int) []int {
-		if d, ok := distCache[dst]; ok {
-			return d
-		}
-		d := host.BFS(dst)
-		distCache[dst] = d
-		return d
+	// A transfer carries task id's pebble of guest step t; its copy is at
+	// host at. Transfers are created when the pebble is generated, t < T.
+	type transfer struct {
+		id, at int32
+		t      int
 	}
-	nextHop := func(at, dst int) int {
-		d := distTo(dst)
-		for _, w := range host.Neighbors(at) {
-			if d[w] == d[at]-1 {
-				return w
-			}
-		}
-		return -1
-	}
-
-	var tasks []*task
+	var tasks []transfer
 	remainingGen := n * T
-	guard := 0
-	maxSteps := 64 * T * (n + m) * (host.Diameter() + 2)
+	// Every host step generates a pebble or moves a copy one hop closer,
+	// so a schedule needs at most n·T + (T−1)·totalHops steps.
+	maxSteps := T * (n + p.maxSteps)
+	busy := make([]bool, m)
+	var ops, gains []Op // gains: generation ops applied after scheduling decisions
 
-	for remainingGen > 0 || len(tasks) > 0 {
+	for guard := 0; remainingGen > 0 || len(tasks) > 0; {
 		guard++
 		if guard > maxSteps {
 			return fmt.Errorf("pebble: pipelined builder exceeded %d steps", maxSteps)
 		}
-		busy := make([]bool, m)
-		var ops []Op
-		var gains []Op // generation ops applied after scheduling decisions
+		clear(busy)
+		ops, gains = ops[:0], gains[:0]
 
 		// Pass 1: transfers, farthest-first (the arbitration rule the greedy
 		// router uses): tasks with more remaining distance get first pick of
 		// links, keeping the communication critical path moving.
-		sort.SliceStable(tasks, func(a, b int) bool {
-			da := distTo(tasks[a].dst)[tasks[a].at]
-			db := distTo(tasks[b].dst)[tasks[b].at]
-			return da > db
+		slices.SortStableFunc(tasks, func(a, b transfer) int {
+			return int(p.dist[p.taskDst[b.id]][b.at] - p.dist[p.taskDst[a.id]][a.at])
 		})
-		var stillTasks []*task
+		kept := tasks[:0]
 		for _, tk := range tasks {
-			if tk.at == tk.dst {
+			q, dst := tk.at, p.taskDst[tk.id]
+			if busy[q] {
+				kept = append(kept, tk)
 				continue
 			}
-			if busy[tk.at] {
-				stillTasks = append(stillTasks, tk)
-				continue
-			}
-			v := nextHop(tk.at, tk.dst)
+			v := p.nhop[dst][q]
 			if v < 0 {
-				return fmt.Errorf("pebble: no route %d→%d", tk.at, tk.dst)
+				return fmt.Errorf("pebble: no route %d→%d", q, dst)
 			}
 			if busy[v] {
-				stillTasks = append(stillTasks, tk)
+				kept = append(kept, tk)
 				continue
 			}
-			busy[tk.at] = true
+			busy[q] = true
 			busy[v] = true
-			ops = append(ops, Op{Kind: Send, Proc: tk.at, Pebble: tk.pb, Peer: v})
-			ops = append(ops, Op{Kind: Receive, Proc: v, Pebble: tk.pb, Peer: tk.at})
-			tk.at = v
-			if tk.at != tk.dst {
-				stillTasks = append(stillTasks, tk)
+			pb := Type{P: int(p.taskP[tk.id]), T: tk.t}
+			ops = append(ops, Op{Kind: Send, Proc: int(q), Pebble: pb, Peer: int(v)})
+			ops = append(ops, Op{Kind: Receive, Proc: int(v), Pebble: pb, Peer: int(q)})
+			if v != dst {
+				tk.at = v
+				kept = append(kept, tk)
 			}
 		}
-		tasks = stillTasks
+		tasks = kept
 
 		// Pass 2: generations on processors the transfer pass left idle.
 		for q := 0; q < m; q++ {
 			if busy[q] {
 				continue
 			}
-			for _, i := range guestsOf[q] {
-				if canGen(i) {
+			for _, i := range p.guestIDs[p.guestOff[q]:p.guestOff[q+1]] {
+				if canGen(int(i)) {
 					t := nextGen[i]
-					gains = append(gains, Op{Kind: Generate, Proc: q, Pebble: Type{P: i, T: t}})
+					gains = append(gains, Op{Kind: Generate, Proc: q, Pebble: Type{P: int(i), T: t}})
 					busy[q] = true
 					nextGen[i]++
 					remainingGen--
 					if t < T {
-						for _, dst := range destsOf[i] {
-							tasks = append(tasks, &task{pb: Type{P: i, T: t}, at: q, dst: dst})
+						for id := taskOff[i]; id < taskOff[i+1]; id++ {
+							tasks = append(tasks, transfer{id: id, at: int32(q), t: t})
 						}
 					}
 					break

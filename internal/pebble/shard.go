@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"universalnet/internal/graph"
 	"universalnet/internal/obs"
 )
 
@@ -223,6 +224,40 @@ func checkSpec(sp Spec) error {
 	}
 	if sp.T < 0 {
 		return fmt.Errorf("pebble: stream spec: negative horizon T=%d", sp.T)
+	}
+	return nil
+}
+
+// maxDecodedSpecBytes is the decoder ceiling: the most validation state a
+// decoded spec may need. Validating n guests on m hosts to horizon T takes
+// (T+1)·n pebble ids, and each id costs m/8 bytes of possession bits plus
+// 16 bytes of State's holder and generator tables. 1.25 GiB admits every
+// spec the repository builds — bigsim's largest, n = 10⁶ on m = 160 at
+// T = 2, needs 108 MB, and the out-of-core ladder's n = 10⁷ needs 1.08 GB.
+const maxDecodedSpecBytes = 5 << 28
+
+// checkDecodedSpec rejects a decoded spec of n guests, m hosts and horizon
+// T that validation could not size: a vertex count outside the decoder
+// cap, a negative horizon, or (T+1)·n ids needing more than
+// maxDecodedSpecBytes. Both protocol decoders call it before they return a
+// spec, so (T+1)·n and m·(T+1)·n cannot overflow in a validator.
+func checkDecodedSpec(n, m, T int) error {
+	if err := graph.CheckVertexCount(n); err != nil {
+		return fmt.Errorf("pebble: guest graph: %w", err)
+	}
+	if err := graph.CheckVertexCount(m); err != nil {
+		return fmt.Errorf("pebble: host graph: %w", err)
+	}
+	if T < 0 {
+		return fmt.Errorf("pebble: negative horizon T=%d", T)
+	}
+	// An id costs (m+128)/8 bytes. Dividing the budget, instead of
+	// multiplying the counts, forms no product that could wrap:
+	// (T+1)·max(n,1) ≤ maxIDs exactly when T < maxIDs/max(n,1).
+	maxIDs := int64(8*maxDecodedSpecBytes) / int64(m+128)
+	if int64(T) >= maxIDs/int64(max(n, 1)) {
+		return fmt.Errorf("pebble: n=%d guests on m=%d hosts to T=%d need more than the %d-byte validation ceiling",
+			n, m, T, maxDecodedSpecBytes)
 	}
 	return nil
 }

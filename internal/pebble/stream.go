@@ -87,18 +87,6 @@ func (s *ProtocolSink) AppendStep(ops []Op) error {
 	return nil
 }
 
-// ownedSink appends the step slice as-is. Internal: only for producers that
-// hand over a freshly allocated slice per step (the pipelined builder),
-// where copying would change the builder's allocation profile for nothing.
-type ownedSink struct {
-	proto *Protocol
-}
-
-func (s *ownedSink) AppendStep(ops []Op) error {
-	s.proto.Steps = append(s.proto.Steps, ops)
-	return nil
-}
-
 // TeeSink duplicates a stream into several sinks, in order.
 func TeeSink(sinks ...StepSink) StepSink { return &teeSink{sinks: sinks} }
 

@@ -19,6 +19,7 @@ import (
 	"universalnet/internal/cache"
 	"universalnet/internal/graph"
 	"universalnet/internal/obs"
+	"universalnet/internal/pebble"
 	"universalnet/internal/routing"
 	"universalnet/internal/sim"
 )
@@ -80,10 +81,7 @@ func (es *EmbeddingSimulator) Run(c *sim.Computation, T int) (*RunReport, error)
 	}
 	f := es.F
 	if f == nil {
-		f = make([]int, n)
-		for i := range f {
-			f[i] = i % m
-		}
+		f = pebble.BalancedAssignment(n, m)
 	}
 	if len(f) != n {
 		return nil, fmt.Errorf("universal: assignment length %d, want %d", len(f), n)
@@ -93,16 +91,7 @@ func (es *EmbeddingSimulator) Run(c *sim.Computation, T int) (*RunReport, error)
 			return nil, fmt.Errorf("universal: guest %d on invalid host %d", i, q)
 		}
 	}
-	load := make([]int, m)
-	for _, q := range f {
-		load[q]++
-	}
-	maxLoad := 0
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
+	maxLoad := pebble.MaxLoad(f, m)
 
 	// mem[q][i] is the newest configuration of guest i known at host q,
 	// with memT[q][i] the guest time it belongs to (-1 = unknown).

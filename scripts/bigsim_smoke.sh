@@ -13,7 +13,10 @@
 #      encoded-bytes level, so any divergence is a bug, not noise.
 #
 # The two-shard run must also report the serial run's host steps and op
-# counts.
+# counts. Agreement between runs cannot catch a schedule change that all
+# three share, so the serial run must also print the pinned fingerprint
+# below, the queued builder's stream at these flags. Change the pin only
+# with a change that is meant to change the schedule.
 #
 # GOMEMLIMIT makes an accidental full materialization fail loudly instead of
 # silently paging. Used by `make bigsim-smoke` and CI.
@@ -27,6 +30,8 @@ $GO build -o "$BIN/uninet" ./cmd/uninet
 
 PROCS=$(nproc 2>/dev/null || echo 2)
 [ "$PROCS" -ge 1 ] || PROCS=1
+
+PINNED_FP='stream fingerprint: 77a7ccec037bea7f steps=32652'
 
 run_bigsim() {
 	GOMEMLIMIT=512MiB "$BIN/uninet" bigsim -n 100000 -deg 3 -hostdim 5 -steps 2 \
@@ -45,6 +50,13 @@ FP1=$(echo "$OUT1" | grep '^stream fingerprint:')
 [ -n "$FP1" ] || { echo "bigsim_smoke: no fingerprint in serial run" >&2; exit 1; }
 STEPS1=$(counts "$OUT1")
 [ -n "$STEPS1" ] || { echo "bigsim_smoke: no host steps line in serial run" >&2; exit 1; }
+if [ "$FP1" != "$PINNED_FP" ]; then
+	echo "bigsim_smoke: serial stream differs from the pinned one:" >&2
+	echo "  got:    $FP1" >&2
+	echo "  pinned: $PINNED_FP" >&2
+	exit 1
+fi
+echo "bigsim_smoke: serial fingerprint matches the pin: OK"
 
 echo "== bigsim -build-shards $PROCS =="
 OUT2=$(run_bigsim -build-shards "$PROCS")
