@@ -37,13 +37,15 @@ perfbench-test:
 # Differential fuzz smoke: random guests, hosts and op streams through the
 # map-based oracle, State, StreamValidator and ValidateSharded (every shard
 # count and window) for 30 s. Any verdict divergence or panic fails. Then
-# the three decoders (graph JSON, protocol JSON, UPB1 binary) for 10 s each:
-# malformed input must be an error, never a panic or an out-of-memory crash.
+# the three decoders (graph JSON, protocol JSON, UPB1 binary) and the
+# X-Uninet-Trace header parser for 10 s each: malformed input must be an
+# error, never a panic or an out-of-memory crash.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolReadJSON$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s ./internal/pebble
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpanContext$$' -fuzztime 10s ./internal/obs
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

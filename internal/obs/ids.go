@@ -84,8 +84,10 @@ func (sc SpanContext) HeaderValue() string {
 }
 
 // ParseSpanContext parses the X-Uninet-Trace wire form ("<trace32>" or
-// "<trace32>-<span16>"). ok is false for "" and for malformed values —
-// propagation must degrade to a fresh trace, never fail a request.
+// "<trace32>-<span16>"). ok is false for "", for malformed values and for
+// the all-zero trace ID, which names no trace: a span parented under it
+// would start a fresh trace whose parent no span carries. Propagation must
+// degrade to a fresh trace, never fail a request.
 func ParseSpanContext(s string) (sc SpanContext, ok bool) {
 	switch len(s) {
 	case 32:
@@ -93,7 +95,7 @@ func ParseSpanContext(s string) (sc SpanContext, ok bool) {
 		if err != nil {
 			return SpanContext{}, false
 		}
-		return SpanContext{Trace: t}, true
+		sc = SpanContext{Trace: t}
 	case 49:
 		if s[32] != '-' {
 			return SpanContext{}, false
@@ -106,9 +108,12 @@ func ParseSpanContext(s string) (sc SpanContext, ok bool) {
 		if err != nil {
 			return SpanContext{}, false
 		}
-		return SpanContext{Trace: t, Span: sp}, true
+		sc = SpanContext{Trace: t, Span: sp}
 	}
-	return SpanContext{}, false
+	if !sc.Valid() {
+		return SpanContext{}, false
+	}
+	return sc, true
 }
 
 // IDSource generates trace and span IDs from a SplitMix64 stream. A fixed

@@ -68,6 +68,8 @@ func TestParseSpanContextRejects(t *testing.T) {
 		"0123456789abcdef0123456789abcdef_0123456789abcdef", // wrong separator
 		"0123456789abcdef0123456789abcdef-0123456789abcdeZ", // bad span hex
 		"0123456789abcdef0123456789abcdef-0123",             // short span
+		"00000000000000000000000000000000",                  // zero trace
+		"00000000000000000000000000000000-00000000000000ab", // zero trace, span set
 	}
 	for _, s := range bad {
 		if _, ok := ParseSpanContext(s); ok {
@@ -77,6 +79,31 @@ func TestParseSpanContextRejects(t *testing.T) {
 	if sc, ok := ParseSpanContext("0123456789abcdef0123456789abcdef"); !ok || sc.Span != 0 {
 		t.Fatal("valid trace-only header rejected")
 	}
+}
+
+// FuzzParseSpanContext: whatever the X-Uninet-Trace parser accepts names a
+// trace and survives the HeaderValue round trip.
+func FuzzParseSpanContext(f *testing.F) {
+	src := NewIDSource(1)
+	for i := 0; i < 2; i++ {
+		f.Add(SpanContext{Trace: src.TraceID()}.HeaderValue())
+		f.Add(SpanContext{Trace: src.TraceID(), Span: src.SpanID()}.HeaderValue())
+	}
+	f.Add("00000000000000000000000000000000-00000000000000ab")
+	f.Add("0123456789ABCDEF0123456789ABCDEF-0123456789ABCDEF")
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseSpanContext(s)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseSpanContext(%q) accepted invalid %+v", s, sc)
+		}
+		again, ok := ParseSpanContext(sc.HeaderValue())
+		if !ok || again != sc {
+			t.Fatalf("%q -> %+v -> %q -> %+v ok=%v", s, sc, sc.HeaderValue(), again, ok)
+		}
+	})
 }
 
 // TestStartSpanCtxParentage: nested StartSpanCtx calls share one trace and
