@@ -119,9 +119,9 @@ redblue-smoke:
 report: build
 	$(GO) run ./cmd/uninet report $(REPORT_FLAGS)
 
-# Rewrite the report that TestReportGolden (internal/experiments) pins. Run
-# it after an intended change to an experiment's output and commit the diff.
-REPORT_GOLDEN = internal/experiments/testdata/report_seed7.golden
+# Rewrite the report that TestReportGolden (cmd/uninet) pins. Run it after
+# an intended change to an experiment's output and commit the diff.
+REPORT_GOLDEN = cmd/uninet/testdata/report_seed7.golden
 report-golden:
 	$(GO) run ./cmd/uninet report -seed 7 -parallel 1 > $(REPORT_GOLDEN).tmp
 	mv $(REPORT_GOLDEN).tmp $(REPORT_GOLDEN)

@@ -112,7 +112,7 @@ func cmdTopo(args []string) error {
 	fmt.Printf("topology %s: n=%d m=%d mindeg=%d maxdeg=%d connected=%v\n",
 		*kind, g.N(), g.M(), g.MinDegree(), g.MaxDegree(), g.IsConnected())
 	if g.N() <= 4096 {
-		fmt.Printf("diameter=%d girth=%d\n", g.DiameterParallel(0), g.Girth())
+		fmt.Printf("diameter=%d girth=%d\n", g.Diameter(), g.Girth())
 	}
 	if g.N() >= 4 && g.MinDegree() > 0 {
 		lam, err := expander.SpectralGap(g, 300, *seed)
@@ -498,13 +498,12 @@ func cmdFigure1(args []string) error {
 }
 
 // cmdExperiment runs a subset of the registered experiment suite through
-// the parallel runner. IDs come from -only (or the legacy -id alias);
-// empty selects all 22. With -json, one JSON object per experiment (id,
-// derived seed, duration, structured payload, error) is emitted — the
-// table text goes to stdout otherwise.
+// the parallel runner. IDs come from -only; empty selects every registered
+// experiment. With -json, one JSON object per experiment (id, derived seed,
+// duration, structured payload, error) is emitted — the table text goes to
+// stdout otherwise.
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	id := fs.String("id", "", "single experiment id (alias for -only)")
 	only := fs.String("only", "", "comma-separated experiment ids, e.g. E1,E4,E12 (default: all)")
 	parallel := fs.Int("parallel", 1, "worker count; 0 = GOMAXPROCS")
 	timeout := fs.Duration("timeout", 0, "overall deadline, e.g. 90s (0 = none)")
@@ -522,13 +521,9 @@ func cmdExperiment(args []string) error {
 		fmt.Print(listExperiments())
 		return nil
 	}
-	sel := *only
-	if sel == "" {
-		sel = *id
-	}
 	var ids []string
-	if sel != "" {
-		ids = strings.Split(sel, ",")
+	if *only != "" {
+		ids = strings.Split(*only, ",")
 	}
 	exps, err := experiments.Select(ids)
 	if err != nil {
@@ -738,8 +733,8 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// cmdReport runs the evaluation suite (all 22 experiments by default) and
-// prints every table. It shares the registry/runner engine with
+// cmdReport runs the evaluation suite (every registered experiment by
+// default) and prints every table. It shares the registry/runner engine with
 // cmdExperiment: -parallel fans out over a worker pool without changing a
 // byte of the output, -only restricts to a subset, -timeout bounds the run.
 func cmdReport(args []string) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -12,8 +13,9 @@ import (
 )
 
 // The CLI tests drive every subcommand in-process with small parameters.
-// Output goes to stdout (not asserted beyond error-free completion); the
-// underlying logic is covered by the package tests.
+// Output goes to stdout and is asserted only where a test captures it (the
+// report golden, topo's diameter line, the -json shapes); the underlying
+// logic is covered by the package tests.
 
 func TestCmdTopoAllKinds(t *testing.T) {
 	kinds := [][]string{
@@ -38,6 +40,30 @@ func TestCmdTopoAllKinds(t *testing.T) {
 	}
 	if err := cmdTopo([]string{"-kind", "nope"}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestCmdTopoDiameterGirth pins the diameter and girth line `uninet topo`
+// prints, including -1 for both on a disconnected forest.
+func TestCmdTopoDiameterGirth(t *testing.T) {
+	disc := filepath.Join(t.TempDir(), "disc.json")
+	if err := os.WriteFile(disc, []byte(`{"n":4,"edges":[[0,1],[2,3]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "torus", "-n", "64"}, "diameter=8 girth=4"},
+		{[]string{"-kind", "hypercube", "-d", "4"}, "diameter=4 girth=4"},
+		{[]string{"-kind", "ring", "-n", "9"}, "diameter=4 girth=9"},
+		{[]string{"-load", disc}, "diameter=-1 girth=-1"},
+	}
+	for _, c := range cases {
+		out := captureStdout(t, func() error { return cmdTopo(c.args) })
+		if !strings.Contains(out, "\n"+c.want+"\n") {
+			t.Errorf("topo %v: want line %q in\n%s", c.args, c.want, out)
+		}
 	}
 }
 
@@ -115,17 +141,18 @@ func TestCmdCount(t *testing.T) {
 func TestCmdExperimentSmall(t *testing.T) {
 	// The cheap experiments; the heavy ones run in the bench harness.
 	for _, id := range []string{"E2", "E3", "E6", "E8", "E11"} {
-		if err := cmdExperiment([]string{"-id", id}); err != nil {
+		if err := cmdExperiment([]string{"-only", id}); err != nil {
 			t.Errorf("experiment %s: %v", id, err)
 		}
 	}
-	if err := cmdExperiment([]string{"-id", "E99"}); err == nil {
+	if err := cmdExperiment([]string{"-only", "E99"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// what it printed. fn must succeed.
+// what it printed. fn must succeed. The pipe is drained while fn runs,
+// because a pipe buffers only 64 KiB and a larger output would block fn.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
 	old := os.Stdout
@@ -133,18 +160,39 @@ func captureStdout(t *testing.T, fn func() error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type drained struct {
+		out []byte
+		err error
+	}
+	done := make(chan drained, 1)
+	go func() {
+		out, err := io.ReadAll(r)
+		done <- drained{out, err}
+	}()
 	os.Stdout = w
 	runErr := fn()
 	w.Close()
 	os.Stdout = old
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	d := <-done
+	r.Close()
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
 	if runErr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", runErr, out)
+		t.Fatalf("command failed: %v\noutput:\n%s", runErr, d.out)
 	}
-	return string(out)
+	return string(d.out)
+}
+
+func TestCaptureStdoutDrainsLargeOutput(t *testing.T) {
+	big := strings.Repeat("x", 1<<20)
+	out := captureStdout(t, func() error {
+		_, err := os.Stdout.WriteString(big)
+		return err
+	})
+	if out != big {
+		t.Errorf("captured %d bytes, want %d", len(out), len(big))
+	}
 }
 
 func TestCmdExperimentOnlyJSON(t *testing.T) {
@@ -294,6 +342,62 @@ func TestCmdReportSmoke(t *testing.T) {
 	}
 	if err := cmdReport([]string{"-seed", "2"}); err != nil {
 		t.Error(err)
+	}
+}
+
+// reportOutput runs `uninet report -seed seed -parallel 1` and returns its
+// stdout.
+func reportOutput(t *testing.T, seed string) string {
+	t.Helper()
+	return captureStdout(t, func() error {
+		return cmdReport([]string{"-seed", seed, "-parallel", "1"})
+	})
+}
+
+// TestReportGolden pins `uninet report -seed 7 -parallel 1` byte for byte:
+// a refactor of the simulators, routers or builders behind the experiments
+// must leave every table unchanged. After an intended change to an
+// experiment's output, `make report-golden` rewrites the file.
+func TestReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite")
+	}
+	golden := filepath.Join("testdata", "report_seed7.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []byte(reportOutput(t, "7"))
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Fatalf("report differs from %s at line %d:\n got: %s\nwant: %s", golden, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("report has %d lines, %s has %d", len(gotLines), golden, len(wantLines))
+}
+
+func TestRunAllSucceeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite")
+	}
+	out := reportOutput(t, "1")
+	for _, marker := range []string{"E1 ", "E2 ", "E3 ", "E6 ", "E10", "E17", "E19"} {
+		if !strings.Contains(out, marker) {
+			t.Errorf("report missing %s section", marker)
+		}
+	}
+}
+
+func TestRunAllDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite twice")
+	}
+	if reportOutput(t, "5") != reportOutput(t, "5") {
+		t.Error("report output not deterministic for a fixed seed")
 	}
 }
 

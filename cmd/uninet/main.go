@@ -82,12 +82,12 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: uninet <command> [flags]
 
 commands:
-  topo       -kind mesh|torus|multitorus|butterfly|wbutterfly|ccc|se|debruijn|hypercube|regular|g0 -n N [-d D] [-a A] [-deg DEG] [-seed S] [-save F | -load F]
+  topo       -kind mesh|torus|multitorus|butterfly|wbutterfly|ccc|se|debruijn|hypercube|regular|g0|ring|complete -n N [-d D] [-a A] [-deg DEG] [-seed S] [-save F | -load F]
   route      -kind ... -n N -h H -trials K [-seed S]
   simulate   -host butterfly|torus|expander|ring -hostsize M|-hostdim D -n N -deg C -steps T [-seed S]
   bound      -log2m X [-toy]  or  -n N -m M [-toy]
   tradeoff   -n N -ms 256,1024,4096 [-toy]
-  pebble     -n N -deg C -hostdim D -steps T [-seed S]
+  pebble     -n N -deg C -hostdim D -steps T [-seed S] [-save F | -load F]
   bigsim     -n N -deg C -hostdim D -steps T [-build-shards W] [-shards W] [-window K] [-barrier-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
   redblue    -n N -deg C -hostdim D -steps T [-r R1,R2,...] [-policy lru|random|belady|all] [-iocost G] [-computecost C] [-json] [-assert-monotone-io] [-seed S]
   figure1    [-blockside P] [-seed S]

@@ -1,5 +1,5 @@
-// Package experiments drives the reproduction experiments E1–E10 of
-// DESIGN.md: each function runs one experiment end to end and returns typed
+// Package experiments drives the reproduction experiments E1–E24 and E26
+// of DESIGN.md: each function runs one experiment end to end and returns typed
 // rows that the benchmark harness (bench_test.go), the CLI (cmd/uninet) and
 // EXPERIMENTS.md all consume. The paper has no evaluation tables of its own —
 // these experiments turn each theorem, lemma and the single figure into a

@@ -300,22 +300,6 @@ func TestGeomMean(t *testing.T) {
 	}
 }
 
-func TestRunAllSucceeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite")
-	}
-	var buf strings.Builder
-	if err := RunAll(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, marker := range []string{"E1 ", "E2 ", "E3 ", "E6 ", "E10", "E17", "E19"} {
-		if !strings.Contains(out, marker) {
-			t.Errorf("report missing %s section", marker)
-		}
-	}
-}
-
 func TestPlotRender(t *testing.T) {
 	p := &Plot{
 		Title: "demo", Width: 20, Height: 6,
@@ -378,22 +362,6 @@ func TestPlotE1AndE2(t *testing.T) {
 	}
 	if !strings.Contains(fig2, "Figure E2") {
 		t.Errorf("E2 figure incomplete:\n%s", fig2)
-	}
-}
-
-func TestRunAllDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite twice")
-	}
-	var a, b strings.Builder
-	if err := RunAll(&a, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAll(&b, 5); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("RunAll output not deterministic for a fixed seed")
 	}
 }
 

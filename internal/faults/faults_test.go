@@ -174,25 +174,6 @@ func TestRoutePhaseRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-func TestRouterWrapperAdvancesSteps(t *testing.T) {
-	g, _ := topology.Ring(8)
-	p := routing.RandomPermutation(newRand(4), 8)
-	inner := &routing.GreedyRouter{Mode: routing.MultiPort}
-	plan := &Plan{Name: "lossy", Seed: 3, DropRate: 0.2, Onset: 0}
-	fr := &Router{Inner: inner, Plan: plan}
-	for i := 0; i < 3; i++ {
-		if _, err := fr.Route(g, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fr.Counters().Dropped == 0 {
-		t.Error("no drops over three 20%-loss phases")
-	}
-	if name := fr.Name(); name != "faulty[lossy](greedy(multi-port))" {
-		t.Errorf("Name() = %q", name)
-	}
-}
-
 func TestScenarios(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		p, err := Scenario(name, 7, 64, 6)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"universalnet/internal/graph"
-	"universalnet/internal/obs"
 	"universalnet/internal/routing"
 )
 
@@ -100,54 +99,3 @@ func RoutePhase(inner routing.Router, g *graph.Graph, p *routing.Problem, plan *
 	}
 	return out, nil
 }
-
-// Router wraps an inner routing.Router so that every Route call runs under
-// the plan's message-fault model. The guest step used for fate decisions
-// advances by one per Route call (starting at StartStep), which makes the
-// wrapper drop-in for step-by-step simulators; callers needing explicit step
-// control should use RoutePhase directly.
-type Router struct {
-	Inner     routing.Router
-	Plan      *Plan
-	StartStep int
-	// Obs, when non-nil, receives per-phase fault counters and attempt
-	// counts in addition to whatever the inner router records.
-	Obs *obs.Registry
-
-	calls    int
-	counters Counters
-}
-
-// SetObs implements routing.Instrumentable, threading the registry into both
-// the wrapper and its inner router.
-func (r *Router) SetObs(reg *obs.Registry) {
-	r.Obs = reg
-	routing.SetObs(r.Inner, reg)
-}
-
-// Name implements routing.Router.
-func (r *Router) Name() string {
-	label := "plan"
-	if r.Plan != nil && r.Plan.Name != "" {
-		label = r.Plan.Name
-	}
-	return fmt.Sprintf("faulty[%s](%s)", label, r.Inner.Name())
-}
-
-// Route implements routing.Router: one fault-injected phase at the next
-// sequential step.
-func (r *Router) Route(g *graph.Graph, p *routing.Problem) (routing.Result, error) {
-	step := r.StartStep + r.calls
-	r.calls++
-	res, err := RoutePhase(r.Inner, g, p, r.Plan, step)
-	r.counters.Add(res.Counters)
-	if r.Obs != nil {
-		r.Obs.Counter("faults.phases").Inc()
-		r.Obs.Counter("faults.attempts").Add(int64(res.Attempts))
-		res.Counters.Record(r.Obs)
-	}
-	return res.Result, err
-}
-
-// Counters returns the fault events accumulated over all Route calls.
-func (r *Router) Counters() Counters { return r.counters }

@@ -252,6 +252,38 @@ func (c *distanceCache) to(dst int) []int {
 	return d
 }
 
+// LowerBoundSteps returns an instance-specific lower bound on the steps any
+// store-and-forward router needs: the maximum of (a) the largest
+// source→destination distance and (b) the bisection-style edge congestion
+// Σ over packets of dist / m (every step moves at most one packet per
+// directed edge, 2m directed edges).
+func LowerBoundSteps(g *graph.Graph, p *Problem) (int, error) {
+	if g.N() != p.N {
+		return 0, fmt.Errorf("routing: size mismatch")
+	}
+	cache := newDistanceCache(g)
+	maxDist := 0
+	totalWork := 0
+	for _, pr := range p.Pairs {
+		d := cache.to(pr.Dst)[pr.Src]
+		if d < 0 {
+			return 0, fmt.Errorf("routing: unreachable pair %v", pr)
+		}
+		if d > maxDist {
+			maxDist = d
+		}
+		totalWork += d
+	}
+	if g.M() == 0 {
+		return maxDist, nil
+	}
+	workBound := (totalWork + 2*g.M() - 1) / (2 * g.M())
+	if workBound > maxDist {
+		return workBound, nil
+	}
+	return maxDist, nil
+}
+
 // packet is the in-flight representation.
 type packet struct {
 	id   int

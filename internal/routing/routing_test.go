@@ -504,7 +504,6 @@ func TestRouterNames(t *testing.T) {
 		(&ValiantRouter{}).Name(),
 		(&DimensionOrderRouter{N: 4}).Name(),
 		(&DimensionOrderRouter{N: 4, Wrap: true}).Name(),
-		(&DeflectionRouter{}).Name(),
 		(&SortingRouter{}).Name(),
 		(&CachedRouter{Inner: &GreedyRouter{}}).Name(),
 	}
@@ -520,5 +519,103 @@ func TestRouterNames(t *testing.T) {
 	}
 	if PortMode(9).String() == "" {
 		t.Error("unknown port mode empty")
+	}
+}
+
+func TestLowerBoundSteps(t *testing.T) {
+	g, err := topology.Ring(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Single packet at distance 8.
+	p, _ := NewProblem(16, []Pair{{0, 8}})
+	lb, err := LowerBoundSteps(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb != 8 {
+		t.Errorf("distance bound = %d, want 8", lb)
+	}
+	// All-to-antipode: work bound dominates: 16 packets × 8 hops / 32
+	// directed edges = 4 < 8 → still 8.
+	pairs := make([]Pair, 16)
+	for i := range pairs {
+		pairs[i] = Pair{Src: i, Dst: (i + 8) % 16}
+	}
+	p2, _ := NewProblem(16, pairs)
+	lb2, err := LowerBoundSteps(g, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb2 < 8 {
+		t.Errorf("bound %d < 8", lb2)
+	}
+	// Heavy h–h load: work bound exceeds diameter.
+	var heavy []Pair
+	for rep := 0; rep < 8; rep++ {
+		for i := range pairs {
+			heavy = append(heavy, Pair{Src: i, Dst: (i + 8) % 16})
+		}
+	}
+	p3, _ := NewProblem(16, heavy)
+	lb3, err := LowerBoundSteps(g, p3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb3 <= 8 {
+		t.Errorf("work bound %d should exceed the distance bound", lb3)
+	}
+	// Measured steps respect the bound.
+	res, err := (&GreedyRouter{Mode: MultiPort}).Route(g, p3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps < lb3 {
+		t.Errorf("router finished in %d steps below the bound %d", res.Steps, lb3)
+	}
+}
+
+func TestLowerBoundStepsErrors(t *testing.T) {
+	g, err := topology.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := NewProblem(4, nil)
+	if _, err := LowerBoundSteps(g, p); err == nil {
+		t.Error("size mismatch accepted")
+	}
+}
+
+func TestAllRoutersRespectLowerBound(t *testing.T) {
+	// Every router's step count must dominate the instance lower bound
+	// max(distance, total-work/capacity) — the model-independent floor.
+	g, err := topology.Torus(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routers := []Router{
+		&GreedyRouter{Mode: MultiPort},
+		&GreedyRouter{Mode: SinglePort},
+		&GreedyRouter{Mode: MultiPort, Policy: RandomNextHop, Seed: 5},
+		&DimensionOrderRouter{N: 8, Wrap: true, Mode: MultiPort},
+		&ValiantRouter{Mode: MultiPort, Seed: 5},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3; trial++ {
+		p := RandomPermutation(rng, 64)
+		lb, err := LowerBoundSteps(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range routers {
+			res, err := r.Route(g, p)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, r.Name(), err)
+			}
+			if res.Steps < lb {
+				t.Errorf("trial %d: %s finished in %d steps, below the bound %d",
+					trial, r.Name(), res.Steps, lb)
+			}
+		}
 	}
 }

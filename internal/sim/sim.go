@@ -9,8 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"universalnet/internal/graph"
 	"universalnet/internal/obs"
@@ -34,8 +32,8 @@ type Computation struct {
 	Step Transition
 	Name string
 	// Obs, when non-nil, receives engine metrics (steps executed, state
-	// updates, parallel-shard utilization). Nil — the default — costs the
-	// engine nothing beyond a nil-check per run.
+	// updates). Nil — the default — costs the engine nothing beyond a
+	// nil-check per run.
 	Obs *obs.Registry
 }
 
@@ -99,7 +97,7 @@ func (c *Computation) Run(T int) (*Trace, error) {
 		return nil, fmt.Errorf("sim: negative step count %d", T)
 	}
 	n := c.G.N()
-	defer c.observeRun(T, 1)()
+	defer c.observeRun(T)()
 	tr := &Trace{States: make([][]State, T+1)}
 	tr.States[0] = append([]State(nil), c.Init...)
 	nbuf := make([]State, 0, c.G.MaxDegree())
@@ -152,8 +150,8 @@ func (c *Computation) VerifyTrace(tr *Trace) error {
 // observeRun records one engine run on c.Obs and returns the deferred span
 // closer. All metric work happens here, once per run — the per-step and
 // per-processor loops stay untouched, so a nil registry costs one nil-check.
-// Metrics are pure functions of (n, T, workers) and thus deterministic.
-func (c *Computation) observeRun(T, workers int) func() {
+// Metrics are pure functions of (n, T) and thus deterministic.
+func (c *Computation) observeRun(T int) func() {
 	if c.Obs == nil {
 		return func() {}
 	}
@@ -161,70 +159,7 @@ func (c *Computation) observeRun(T, workers int) func() {
 	c.Obs.Counter("sim.runs").Inc()
 	c.Obs.Counter("sim.steps").Add(int64(T))
 	c.Obs.Counter("sim.state_updates").Add(n * int64(T))
-	if workers > 1 {
-		c.Obs.Counter("sim.parallel.runs").Inc()
-		c.Obs.Gauge("sim.parallel.workers").SetMax(int64(workers))
-		// Shards per step: how the processor range splits over workers —
-		// the parallel engine's utilization signal.
-		chunk := (int(n) + workers - 1) / workers
-		shards := (int(n) + chunk - 1) / chunk
-		c.Obs.Counter("sim.parallel.shards").Add(int64(shards) * int64(T))
-	}
 	sp := c.Obs.StartSpan("sim.run",
-		obs.KV("name", c.Name), obs.KV("n", c.G.N()), obs.KV("steps", T), obs.KV("workers", workers))
+		obs.KV("name", c.Name), obs.KV("n", c.G.N()), obs.KV("steps", T))
 	return sp.End
-}
-
-// RunParallel executes T steps like Run, sharding each step's processor
-// updates over up to `workers` goroutines (0 ⇒ GOMAXPROCS). The result is
-// bit-identical to Run — each worker writes disjoint entries of the next
-// state row — at a fraction of the wall-clock for large guests.
-func (c *Computation) RunParallel(T, workers int) (*Trace, error) {
-	if T < 0 {
-		return nil, fmt.Errorf("sim: negative step count %d", T)
-	}
-	n := c.G.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return c.Run(T)
-	}
-	defer c.observeRun(T, workers)()
-	tr := &Trace{States: make([][]State, T+1)}
-	tr.States[0] = append([]State(nil), c.Init...)
-	chunk := (n + workers - 1) / workers
-	for t := 0; t < T; t++ {
-		cur := tr.States[t]
-		next := make([]State, n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				nbuf := make([]State, 0, c.G.MaxDegree())
-				for i := lo; i < hi; i++ {
-					nbuf = nbuf[:0]
-					for _, w := range c.G.Neighbors(i) {
-						nbuf = append(nbuf, cur[w])
-					}
-					next[i] = c.Step(i, cur[i], nbuf)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		tr.States[t+1] = next
-	}
-	return tr, nil
 }

@@ -359,27 +359,3 @@ func TestCAWorkloadUnderSimulation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRunParallelMatchesSerial(t *testing.T) {
-	g, err := topology.Torus(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := MixMod(g, rand.New(rand.NewSource(41)))
-	serial, err := c.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 7, 200} {
-		par, err := c.RunParallel(6, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.Checksum() != serial.Checksum() {
-			t.Errorf("workers=%d: parallel trace differs", workers)
-		}
-	}
-	if _, err := c.RunParallel(-1, 2); err == nil {
-		t.Error("negative T accepted")
-	}
-}

@@ -69,13 +69,11 @@ func (bh *BenesHost) Assignment(n int) []int {
 // OfflineBenesRouter routes problems whose endpoints all lie on level-0
 // nodes of the wrapped Beneš network, by decomposing the relation into
 // permutation rounds and certifying each round's Waksman paths. Steps are
-// deterministic. With Serial unset (the default), consecutive rounds are
-// pipelined through the levels — round k enters level 0 at step k, so level
-// ℓ at step τ carries round τ−ℓ and no (node, step) is used twice — for a
-// total of (rounds−1) + 2d steps; Serial mode charges rounds·2d.
+// deterministic. Consecutive rounds are pipelined through the levels —
+// round k enters level 0 at step k, so level ℓ at step τ carries round τ−ℓ
+// and no (node, step) is used twice — for a total of (rounds−1) + 2d steps.
 type OfflineBenesRouter struct {
-	D      int
-	Serial bool
+	D int
 }
 
 // Name implements routing.Router.
@@ -116,14 +114,8 @@ func (r *OfflineBenesRouter) route(g *graph.Graph, p *routing.Problem) (routing.
 		return routing.Result{}, err
 	}
 	perRound := (levels - 1) + 1 // Beneš stages + wrap hop back to level 0
-	var steps int
-	if r.Serial {
-		steps = rounds * perRound
-	} else {
-		steps = (rounds - 1) + perRound
-	}
 	return routing.Result{
-		Steps:         steps,
+		Steps:         (rounds - 1) + perRound,
 		Delivered:     len(p.Pairs),
 		StepsPerPhase: []int{rounds},
 	}, nil

@@ -71,15 +71,6 @@ func TestOfflineBenesRouterDeterministic(t *testing.T) {
 	if res1.Steps != res1.StepsPerPhase[0]-1+2*d {
 		t.Errorf("steps %d ≠ rounds−1+2d = %d", res1.Steps, res1.StepsPerPhase[0]-1+2*d)
 	}
-	// Serial mode charges rounds·2d.
-	serial := &OfflineBenesRouter{D: d, Serial: true}
-	res3, err := serial.Route(bh.Graph, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Steps != res3.StepsPerPhase[0]*2*d {
-		t.Errorf("serial steps %d ≠ rounds·2d", res3.Steps)
-	}
 }
 
 func TestOfflineBenesRouterRejectsNonLevel0(t *testing.T) {

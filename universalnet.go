@@ -13,10 +13,11 @@
 //     routing, with slowdown measurement and trace verification;
 //   - the tree-cached constant-slowdown host of §1;
 //   - the Theorem 3.1 counting machinery (k = Ω(log m)) with both the
-//     paper's constants and unit-scale "toy" constants;
-//   - the experiment drivers E1–E19 that regenerate every measured table.
+//     paper's constants and unit-scale "toy" constants.
 //
-// See README.md for a tour and EXPERIMENTS.md for paper-vs-measured results.
+// The experiments that regenerate every measured table run through
+// `uninet experiment` and `uninet report`, not through this facade. See
+// README.md for a tour and EXPERIMENTS.md for paper-vs-measured results.
 package universalnet
 
 import (
@@ -194,9 +195,6 @@ type (
 // SortingRouter routes permutations by comparator networks; see also
 // OddEvenTransposition and Bitonic schedules.
 type SortingRouter = routing.SortingRouter
-
-// DeflectionRouter is the bufferless hot-potato router.
-type DeflectionRouter = routing.DeflectionRouter
 
 var (
 	// DecomposeHRelation splits an h–h relation into ≤ h permutations.
