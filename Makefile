@@ -50,25 +50,38 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# BENCH_RUN runs every benchmark into the file named by the shell variable
+# raw, which bench-json and bench-compare then convert with benchjson. It
+# writes a file, not a pipe into benchjson, because sh has no pipefail: a
+# pipe would hide a failing or panicking benchmark. On failure it prints the
+# output and exits.
+BENCH_RUN = if ! $(GO) test -bench=. -benchmem -run=^$$ ./... > $$raw; then \
+	cat $$raw; rm -f $$raw; echo "benchmarks failed"; exit 1; fi
+
 # Machine-readable benchmark baseline: BENCH_<date>.json maps each benchmark
 # name to ns/op, B/op, and allocs/op (see README "Benchmark baselines").
 bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d).json
-	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
+	@raw=$$(mktemp); $(BENCH_RUN); \
+	out=BENCH_$$(date +%Y-%m-%d).json; \
+	$(GO) run ./cmd/benchjson < $$raw > $$out; status=$$?; rm -f $$raw; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	echo "wrote $$out"
 
 # Regression gate: measure afresh and diff against the newest committed
-# BENCH_*.json baseline. Exits non-zero when any shared benchmark exceeds the
-# explicit tolerances above (ns/op +$(BENCH_TOL_NS)%, B/op +$(BENCH_TOL_BYTES)%,
+# BENCH_*.json baseline. Exits non-zero when any benchmark fails or panics,
+# or when any shared benchmark exceeds the explicit tolerances above
+# (ns/op +$(BENCH_TOL_NS)%, B/op +$(BENCH_TOL_BYTES)%,
 # allocs/op +$(BENCH_TOL_ALLOCS)%). Required in CI.
 bench-compare:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort | tail -1); \
 	if [ -z "$$base" ]; then echo "no committed BENCH_*.json baseline"; exit 1; fi; \
 	echo "comparing against $$base"; \
+	raw=$$(mktemp); $(BENCH_RUN); \
 	tmp=$$(mktemp); \
-	$(GO) test -bench=. -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchjson > $$tmp || { rm -f $$tmp; exit 1; }; \
+	$(GO) run ./cmd/benchjson < $$raw > $$tmp || { rm -f $$raw $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare $$base $$tmp \
 		-tol-ns $(BENCH_TOL_NS) -tol-bytes $(BENCH_TOL_BYTES) -tol-allocs $(BENCH_TOL_ALLOCS); \
-	status=$$?; rm -f $$tmp; exit $$status
+	status=$$?; rm -f $$raw $$tmp; exit $$status
 
 # CI smoke: every benchmark must still run (one iteration), catching bit-rot
 # in the bench harness without paying for full measurement.
