@@ -89,10 +89,10 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Streaming-scale smoke: n=10⁵ build+validate through the streaming
-# pipeline at -build-shards 1 and GOMAXPROCS, under a hard Go heap budget.
-# Asserts peak resident chunk bytes stay within budget + one open chunk and
-# that the stream fingerprints are byte-identical across shard counts (see
-# scripts/bigsim_smoke.sh).
+# pipeline with one and with two validator shards, under a hard Go heap
+# budget. Asserts peak resident chunk bytes stay within budget + one open
+# chunk, that the one-shard run prints the pinned stream fingerprint, and
+# that the two-shard run matches it (see scripts/bigsim_smoke.sh).
 bigsim-smoke:
 	sh scripts/bigsim_smoke.sh
 

@@ -307,6 +307,7 @@ func cmdPebble(args []string) error {
 			return err
 		}
 		*n = pr.Guest.N()
+		*deg = pr.Guest.MaxDegree()
 		*steps = pr.T
 	} else {
 		rng := rand.New(rand.NewSource(*seed))
@@ -375,10 +376,8 @@ func cmdBigsim(args []string) error {
 	deg := fs.Int("deg", 3, "guest degree")
 	hostDim := fs.Int("hostdim", 5, "wrapped-butterfly host dimension")
 	steps := fs.Int("steps", 2, "guest steps")
-	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS minus the builder workers, at least 1)")
-	buildShards := fs.Int("build-shards", 0, "builder workers (0 = GOMAXPROCS/2, 1 = serial build)")
+	shards := fs.Int("shards", 0, "validator shards (0 = GOMAXPROCS minus one for the builder, at least 1)")
 	window := fs.Int("window", 8, "pipe window in host steps")
-	barrierWindow := fs.Int("barrier-window", 0, "validator host steps per barrier round (0 = default)")
 	chunkKB := fs.Int("chunk-kb", 1024, "target chunk size in KiB")
 	budgetKB := fs.Int("budget-kb", 8192, "resident chunk budget in KiB (0 = never spill)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -417,9 +416,7 @@ func cmdBigsim(args []string) error {
 	start := time.Now()
 	rep, err := universal.RunStreamingEmbedding(guest, host, nil, *steps, universal.StreamRunConfig{
 		Shards:        *shards,
-		BuildShards:   *buildShards,
 		Window:        *window,
-		BarrierWindow: *barrierWindow,
 		Chunks:        chunks,
 		MeasureStalls: true,
 	})
@@ -427,16 +424,14 @@ func cmdBigsim(args []string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("streaming run: guest n=%d (%d-regular), host m=%d, T=%d, build-shards=%d, shards=%d, window=%d\n",
-		rep.N, *deg, rep.M, rep.T, rep.BuildShards, rep.ValidateShards, *window)
+	fmt.Printf("streaming run: guest n=%d (%d-regular), host m=%d, T=%d, shards=%d, window=%d\n",
+		rep.N, *deg, rep.M, rep.T, rep.ValidateShards, *window)
 	fmt.Printf("host steps T'=%d ops=%d slowdown=%.2f inefficiency k=%.2f maxload=%d (%.1fs)\n",
 		rep.HostSteps, rep.Ops, rep.Slowdown, rep.Inefficiency, rep.MaxLoad, elapsed.Seconds())
 	fmt.Printf("protocol bytes: encoded=%d peak-resident=%d spilled=%d\n",
 		rep.EncodedBytes, rep.PeakChunkBytes, rep.SpilledBytes)
 	fmt.Printf("pipeline stalls: builder=%dms validator=%dms\n",
 		rep.SendStallNs/1e6, rep.RecvStallNs/1e6)
-	fmt.Printf("build split: busy=%dms pipe-stall=%dms merge-wait=%dms (workers=%d)\n",
-		rep.BuildBusyNs/1e6, rep.BuildStallNs/1e6, rep.MergeWaitNs/1e6, rep.BuildShards)
 	fmt.Printf("stream fingerprint: %016x steps=%d\n", rep.Fingerprint, rep.HostSteps)
 	if *save != "" {
 		f, err := os.Create(*save)
@@ -504,16 +499,10 @@ func cmdFigure1(args []string) error {
 // stdout otherwise.
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	only := fs.String("only", "", "comma-separated experiment ids, e.g. E1,E4,E12 (default: all)")
-	parallel := fs.Int("parallel", 1, "worker count; 0 = GOMAXPROCS")
-	timeout := fs.Duration("timeout", 0, "overall deadline, e.g. 90s (0 = none)")
+	sf := addSuiteFlags(fs)
 	jsonOut := fs.Bool("json", false, "emit one JSON object per experiment instead of tables")
 	failFast := fs.Bool("failfast", false, "cancel remaining experiments on the first failure")
 	list := fs.Bool("list", false, "list the registered experiments and exit")
-	seed := fs.Int64("seed", 1, "root random seed (per-experiment seeds are derived from it)")
-	faultScenario := fs.String("faults", "", "named fault scenario for fault-aware experiments: "+strings.Join(faults.ScenarioNames(), "|"))
-	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault scenario's deterministic schedule")
-	tracePath := fs.String("trace", "", "write per-span JSONL tracing to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -521,36 +510,52 @@ func cmdExperiment(args []string) error {
 		fmt.Print(listExperiments())
 		return nil
 	}
+	return sf.run(*failFast, *jsonOut)
+}
+
+// suiteFlags holds the flags `experiment`, `report` and `serve` share:
+// which experiments run, on how many workers, within which deadline, under
+// which seeds and fault scenario, and where spans go.
+type suiteFlags struct {
+	only, faults, trace string
+	parallel            int
+	timeout             time.Duration
+	seed, faultSeed     int64
+}
+
+// addSuiteFlags defines the shared suite flags on fs.
+func addSuiteFlags(fs *flag.FlagSet) *suiteFlags {
+	sf := &suiteFlags{}
+	fs.StringVar(&sf.only, "only", "", "comma-separated experiment ids, e.g. E1,E4,E12 (default: all)")
+	fs.IntVar(&sf.parallel, "parallel", 1, "worker count; 0 = GOMAXPROCS")
+	fs.DurationVar(&sf.timeout, "timeout", 0, "overall deadline, e.g. 90s (0 = none)")
+	fs.Int64Var(&sf.seed, "seed", 1, "root random seed (per-experiment seeds are derived from it)")
+	fs.StringVar(&sf.faults, "faults", "", "named fault scenario for fault-aware experiments: "+strings.Join(faults.ScenarioNames(), "|"))
+	fs.Int64Var(&sf.faultSeed, "fault-seed", 1, "seed of the fault scenario's deterministic schedule")
+	fs.StringVar(&sf.trace, "trace", "", "write per-span JSONL tracing to this file")
+	return sf
+}
+
+// suite selects the -only experiments and assembles their Config,
+// validating a named fault scenario early so a typo fails before any
+// experiment runs.
+func (sf *suiteFlags) suite() ([]experiments.Experiment, experiments.Config, error) {
 	var ids []string
-	if *only != "" {
-		ids = strings.Split(*only, ",")
+	if sf.only != "" {
+		ids = strings.Split(sf.only, ",")
 	}
 	exps, err := experiments.Select(ids)
 	if err != nil {
-		return err
+		return nil, experiments.Config{}, err
 	}
-	cfg, err := experimentConfig(*seed, *faultScenario, *faultSeed)
-	if err != nil {
-		return err
-	}
-	return runExperiments(exps, cfg, runOpts{
-		parallel: *parallel, timeout: *timeout, failFast: *failFast,
-		jsonOut: *jsonOut, tracePath: *tracePath,
-	})
-}
-
-// experimentConfig assembles the suite Config, validating a named fault
-// scenario early so a typo fails before any experiment runs.
-func experimentConfig(seed int64, faultScenario string, faultSeed int64) (experiments.Config, error) {
-	cfg := experiments.Config{Seed: seed, FaultScenario: faultScenario, FaultSeed: faultSeed}
-	if faultScenario != "" {
+	if sf.faults != "" {
 		// Resolve against a token host to validate the name only; the
 		// experiment resolves it against its real m and T.
-		if _, err := faults.Scenario(faultScenario, faultSeed, 2, 1); err != nil {
-			return experiments.Config{}, err
+		if _, err := faults.Scenario(sf.faults, sf.faultSeed, 2, 1); err != nil {
+			return nil, experiments.Config{}, err
 		}
 	}
-	return cfg, nil
+	return exps, experiments.Config{Seed: sf.seed, FaultScenario: sf.faults, FaultSeed: sf.faultSeed}, nil
 }
 
 // listExperiments renders the registry as an id → claim → modules table.
@@ -566,16 +571,6 @@ func listExperiments() string {
 	return tab.String()
 }
 
-// runOpts bundles the execution knobs shared by `experiment`, `report` and
-// `serve`.
-type runOpts struct {
-	parallel  int
-	timeout   time.Duration
-	failFast  bool
-	jsonOut   bool
-	tracePath string // "" = tracing off
-}
-
 // openTrace opens the JSONL span sink named by tracePath ("" → nil sink,
 // tracing disabled).
 func openTrace(path string) (*obs.TraceSink, error) {
@@ -589,23 +584,27 @@ func openTrace(path string) (*obs.TraceSink, error) {
 	return obs.NewTraceSink(f), nil
 }
 
-// runExperiments executes exps on the runner and writes tables (or JSON
+// run executes the selected suite on the runner and writes tables (or JSON
 // lines) to stdout. The returned error aggregates every failed experiment.
 // Table output carries no timings, and the per-experiment metrics snapshot
 // in JSON output excludes wall-clock by construction, so both are
 // byte-identical across worker counts; timing lives in duration_ms and the
 // optional -trace JSONL.
-func runExperiments(exps []experiments.Experiment, cfg experiments.Config, opt runOpts) error {
-	sink, err := openTrace(opt.tracePath)
+func (sf *suiteFlags) run(failFast, jsonOut bool) error {
+	exps, cfg, err := sf.suite()
 	if err != nil {
 		return err
 	}
-	r := &experiments.Runner{Workers: opt.parallel, Timeout: opt.timeout, FailFast: opt.failFast, Trace: sink}
+	sink, err := openTrace(sf.trace)
+	if err != nil {
+		return err
+	}
+	r := &experiments.Runner{Workers: sf.parallel, Timeout: sf.timeout, FailFast: failFast, Trace: sink}
 	results, runErr := r.Run(context.Background(), exps, cfg)
 	if err := sink.Close(); err != nil {
 		return fmt.Errorf("trace output: %w", err)
 	}
-	if opt.jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		for _, res := range results {
 			obj := map[string]any{
@@ -739,33 +738,12 @@ func cmdAnalyze(args []string) error {
 // byte of the output, -only restricts to a subset, -timeout bounds the run.
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "root random seed (per-experiment seeds are derived from it)")
-	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
-	parallel := fs.Int("parallel", 1, "worker count; 0 = GOMAXPROCS")
-	timeout := fs.Duration("timeout", 0, "overall deadline, e.g. 90s (0 = none)")
+	sf := addSuiteFlags(fs)
 	jsonOut := fs.Bool("json", false, "emit one JSON object per experiment instead of tables")
-	faultScenario := fs.String("faults", "", "named fault scenario for fault-aware experiments: "+strings.Join(faults.ScenarioNames(), "|"))
-	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault scenario's deterministic schedule")
-	tracePath := fs.String("trace", "", "write per-span JSONL tracing to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var ids []string
-	if *only != "" {
-		ids = strings.Split(*only, ",")
-	}
-	exps, err := experiments.Select(ids)
-	if err != nil {
-		return err
-	}
-	cfg, err := experimentConfig(*seed, *faultScenario, *faultSeed)
-	if err != nil {
-		return err
-	}
-	return runExperiments(exps, cfg, runOpts{
-		parallel: *parallel, timeout: *timeout, failFast: true,
-		jsonOut: *jsonOut, tracePath: *tracePath,
-	})
+	return sf.run(true, *jsonOut)
 }
 
 // cmdGap prints the conclusion's open-problem table: the host size needed

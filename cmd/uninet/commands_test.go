@@ -106,20 +106,41 @@ func TestCmdBoundAndTradeoff(t *testing.T) {
 	}
 }
 
+// TestCmdPebbleSaveLoad round-trips a protocol through -save and -load; the
+// load describes the saved guest, not the -deg default.
 func TestCmdPebbleSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "p.json")
-	if err := cmdPebble([]string{"-n", "12", "-steps", "2", "-save", file}); err != nil {
+	if err := cmdPebble([]string{"-n", "12", "-deg", "3", "-steps", "2", "-save", file}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(file); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdPebble([]string{"-load", file}); err != nil {
-		t.Fatal(err)
+	out := captureStdout(t, func() error { return cmdPebble([]string{"-load", file}) })
+	if !strings.Contains(out, "guest n=12 (3-regular)") {
+		t.Errorf("load does not describe the saved guest:\n%s", out)
 	}
 	if err := cmdPebble([]string{"-load", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestUsageListsEveryCommand: `uninet help` prints each entry of the
+// command table on exactly one line.
+func TestUsageListsEveryCommand(t *testing.T) {
+	var buf bytes.Buffer
+	usage(&buf)
+	lines := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			lines[f[0]]++
+		}
+	}
+	for _, c := range commands {
+		if lines[c.name] != 1 {
+			t.Errorf("usage lists %q on %d lines, want 1:\n%s", c.name, lines[c.name], buf.String())
+		}
 	}
 }
 

@@ -1,104 +1,76 @@
 // Command uninet is the command-line front end of the universal-network
-// laboratory. Subcommands:
+// laboratory. `uninet help` lists the subcommands, and
+// `uninet <command> -h` lists a subcommand's flags.
 //
-//	topo       — describe a topology (size, degree, diameter, expansion)
-//	route      — route random h–h problems on a topology and report steps
-//	simulate   — simulate a random guest on a host and report the slowdown
-//	bound      — evaluate the Theorem 3.1 lower bound k(m)
-//	tradeoff   — print the m·s vs n·log m trade-off table
-//	pebble     — build and validate a pebble-game protocol; print statistics
-//	bigsim     — streaming build+validate at big n (chunked storage, shards)
-//	redblue    — price a protocol under the red-blue cost model (r-sweep, policies)
-//	figure1    — render the Figure 1 dependency tree
-//	experiment — run a subset of the E1..E24 suite (parallel runner, JSON)
-//	report     — run the full suite and print every table
-//	serve      — run the suite with live metrics over HTTP (expvar, pprof)
-//	trace      — join per-node JSONL traces; waterfalls, attribution, percentiles
-//
-// Every subcommand takes -seed for reproducibility and prints plain tables.
-// `experiment`, `report` and `serve` accept -trace FILE for per-span JSONL
-// profiling output.
+// The subcommands that draw random instances take -seed for
+// reproducibility, and all print plain tables. `experiment`, `report` and
+// `serve` accept -trace FILE for per-span JSONL profiling output.
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "topo":
-		err = cmdTopo(args)
-	case "route":
-		err = cmdRoute(args)
-	case "simulate":
-		err = cmdSimulate(args)
-	case "bound":
-		err = cmdBound(args)
-	case "tradeoff":
-		err = cmdTradeoff(args)
-	case "pebble":
-		err = cmdPebble(args)
-	case "bigsim":
-		err = cmdBigsim(args)
-	case "redblue":
-		err = cmdRedblue(args)
-	case "figure1":
-		err = cmdFigure1(args)
-	case "experiment":
-		err = cmdExperiment(args)
-	case "count":
-		err = cmdCount(args)
-	case "analyze":
-		err = cmdAnalyze(args)
-	case "report":
-		err = cmdReport(args)
-	case "serve":
-		err = cmdServe(args)
-	case "trace":
-		err = cmdTrace(args)
-	case "gap":
-		err = cmdGap(args)
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "uninet: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uninet %s: %v\n", cmd, err)
-		os.Exit(1)
-	}
+// command is one uninet subcommand: its name, the one-line summary
+// `uninet help` prints, and the function that parses its flags and runs it.
+type command struct {
+	name, summary string
+	run           func(args []string) error
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: uninet <command> [flags]
+// commands lists every subcommand in the order `uninet help` prints them.
+var commands = []command{
+	{"topo", "describe a topology (size, degree, diameter, expansion)", cmdTopo},
+	{"route", "route random h–h problems on a topology and report steps", cmdRoute},
+	{"simulate", "simulate a random guest on a host and report the slowdown", cmdSimulate},
+	{"bound", "evaluate the Theorem 3.1 lower bound k(m)", cmdBound},
+	{"tradeoff", "print the m·s vs n·log m trade-off table", cmdTradeoff},
+	{"gap", "print the conclusion's open-problem table", cmdGap},
+	{"count", "count the labeled c-regular graphs on n vertices exactly", cmdCount},
+	{"pebble", "build and validate a pebble-game protocol; print statistics", cmdPebble},
+	{"analyze", "run the §3 lower-bound pipeline on a live protocol", cmdAnalyze},
+	{"bigsim", "streaming build+validate at big n (chunked storage, sharded validator)", cmdBigsim},
+	{"redblue", "price a protocol under the red-blue cost model (r-sweep, policies)", cmdRedblue},
+	{"figure1", "render the Figure 1 dependency tree", cmdFigure1},
+	{"experiment", "run a subset of the experiment suite (parallel runner, JSON)", cmdExperiment},
+	{"report", "run the full experiment suite and print every table", cmdReport},
+	{"serve", "run the suite with live metrics and the /v1 service over HTTP", cmdServe},
+	{"trace", "join per-node JSONL traces; waterfalls, attribution, percentiles", cmdTrace},
+}
 
-commands:
-  topo       -kind mesh|torus|multitorus|butterfly|wbutterfly|ccc|se|debruijn|hypercube|regular|g0|ring|complete -n N [-d D] [-a A] [-deg DEG] [-seed S] [-save F | -load F]
-  route      -kind ... -n N -h H -trials K [-seed S]
-  simulate   -host butterfly|torus|expander|ring -hostsize M|-hostdim D -n N -deg C -steps T [-seed S]
-  bound      -log2m X [-toy]  or  -n N -m M [-toy]
-  tradeoff   -n N -ms 256,1024,4096 [-toy]
-  pebble     -n N -deg C -hostdim D -steps T [-seed S] [-save F | -load F]
-  bigsim     -n N -deg C -hostdim D -steps T [-build-shards W] [-shards W] [-window K] [-barrier-window K] [-chunk-kb KB] [-budget-kb KB] [-save F] [-assert-peak-bytes B] [-cpuprofile F] [-memprofile F] [-seed S]
-  redblue    -n N -deg C -hostdim D -steps T [-r R1,R2,...] [-policy lru|random|belady|all] [-iocost G] [-computecost C] [-json] [-assert-monotone-io] [-seed S]
-  figure1    [-blockside P] [-seed S]
-  experiment [-only E1,E4,E12] [-parallel N] [-timeout D] [-json] [-failfast] [-list] [-seed S] [-faults NAME] [-fault-seed S] [-trace F]
-  count      -n N -c C   (exact number of labeled c-regular graphs)
-  analyze    [-blockside P] [-hostdim D] [-c C] [-seed S]   (the §3 pipeline, live)
-  report     [-only IDs] [-parallel N] [-timeout D] [-json] [-seed S] [-faults NAME] [-fault-seed S] [-trace F]   (full E1..E24 suite)
-  serve      [-addr A] [-only IDs] [-parallel N] [-once] [-queue Q] [-service-workers W] [-seed S] [-trace F]
-             [-peers A1,A2] [-advertise A] [-heartbeat D] [-no-local-fallback] [-warm-push N] [-cluster-faults NAME]
-             [-slow-ms MS] [-slow-profile-dir DIR] [-runtime-sample D]   (suite + live metrics + /v1 service; -peers = sharded cluster node)
-  trace      [-top N] [-id TRACE] [-min-ms MS] [-json] [-assert-joined N] [-check-metrics URL] node1.jsonl [node2.jsonl ...]   (join multi-node traces, waterfalls + attribution)
-  gap        [-s0 S] [-eps E]   (the conclusion's open-problem table)
-`)
+func main() {
+	if len(os.Args) < 2 {
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	name, args := os.Args[1], os.Args[2:]
+	if name == "help" || name == "-h" || name == "--help" {
+		usage(os.Stderr)
+		return
+	}
+	for _, c := range commands {
+		if c.name != name {
+			continue
+		}
+		if err := c.run(args); err != nil {
+			fmt.Fprintf(os.Stderr, "uninet %s: %v\n", name, err)
+			os.Exit(1)
+		}
+		return
+	}
+	fmt.Fprintf(os.Stderr, "uninet: unknown command %q\n", name)
+	usage(os.Stderr)
+	os.Exit(2)
+}
+
+// usage prints the command table. The flags are left to each command's
+// FlagSet, which prints them for `uninet <command> -h`.
+func usage(w io.Writer) {
+	fmt.Fprint(w, "usage: uninet <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-10s  %s\n", c.name, c.summary)
+	}
+	fmt.Fprint(w, "\nRun 'uninet <command> -h' for a command's flags.\n")
 }

@@ -52,13 +52,7 @@ var publishOnce = func() func() {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8214", "listen address")
-	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
-	parallel := fs.Int("parallel", 1, "worker count; 0 = GOMAXPROCS")
-	timeout := fs.Duration("timeout", 0, "overall suite deadline (0 = none)")
-	seed := fs.Int64("seed", 1, "root random seed")
-	faultScenario := fs.String("faults", "", "named fault scenario: "+strings.Join(faults.ScenarioNames(), "|"))
-	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault scenario's deterministic schedule")
-	tracePath := fs.String("trace", "", "write per-span JSONL tracing to this file")
+	sf := addSuiteFlags(fs)
 	once := fs.Bool("once", false, "exit when the suite completes instead of serving until interrupted")
 	queue := fs.Int("queue", 0, "service admission-queue depth; 0 = 4×workers")
 	serviceWorkers := fs.Int("service-workers", 0, "service worker-pool size; 0 = GOMAXPROCS")
@@ -74,15 +68,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var ids []string
-	if *only != "" {
-		ids = strings.Split(*only, ",")
-	}
-	exps, err := experiments.Select(ids)
-	if err != nil {
-		return err
-	}
-	cfg, err := experimentConfig(*seed, *faultScenario, *faultSeed)
+	exps, cfg, err := sf.suite()
 	if err != nil {
 		return err
 	}
@@ -96,7 +82,7 @@ func cmdServe(args []string) error {
 	if *clusterFaults != "" {
 		// Only the drop/delay rates matter in-process; node kill events are
 		// the chaos driver's job (uninetload -chaos). Nominal horizon.
-		plan, err = faults.ClusterScenario(*clusterFaults, *faultSeed, len(peerList)+1, 60_000)
+		plan, err = faults.ClusterScenario(*clusterFaults, sf.faultSeed, len(peerList)+1, 60_000)
 		if err != nil {
 			return err
 		}
@@ -108,9 +94,9 @@ func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	return runServe(ctx, ln, exps, cfg, serveOpts{
-		parallel:        *parallel,
-		timeout:         *timeout,
-		tracePath:       *tracePath,
+		parallel:        sf.parallel,
+		timeout:         sf.timeout,
+		tracePath:       sf.trace,
 		once:            *once,
 		queue:           *queue,
 		serviceWorkers:  *serviceWorkers,
@@ -120,7 +106,7 @@ func cmdServe(args []string) error {
 		noLocalFallback: *noFallback,
 		warmPushQueue:   *warmPush,
 		clusterPlan:     plan,
-		clusterSeed:     *faultSeed,
+		clusterSeed:     sf.faultSeed,
 		slowThreshold:   time.Duration(*slowMS) * time.Millisecond,
 		slowProfileDir:  *slowProfileDir,
 		runtimeSample:   *runtimeSample,

@@ -53,10 +53,7 @@ func TestRunServeShutdownNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := experimentConfig(1, "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := experiments.Config{Seed: 1, FaultSeed: 1}
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -166,10 +163,7 @@ func TestRunServeDrainWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := experimentConfig(1, "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := experiments.Config{Seed: 1, FaultSeed: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out bytes.Buffer
@@ -254,10 +248,7 @@ func TestRunServeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := experimentConfig(1, "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := experiments.Config{Seed: 1, FaultSeed: 1}
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {

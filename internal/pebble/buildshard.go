@@ -5,8 +5,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"universalnet/internal/graph"
 )
@@ -37,27 +35,10 @@ type BuildShardedOptions struct {
 	// Workers is the number of builder goroutines; values < 2 (and values
 	// above the processor count) run the serial core inline.
 	Workers int
-	// Window is the per-worker pipe depth in sub-steps; 0 means 64.
-	Window int
-	// MeasureStalls enables wall-clock accounting into Stats. Off by
-	// default: stall times are scheduling-dependent and must stay out of
-	// deterministic experiment metrics.
-	MeasureStalls bool
-	// Stats, when non-nil and MeasureStalls is set, receives the build-side
-	// pipeline accounting after the run.
-	Stats *BuildShardedStats
 }
 
-// BuildShardedStats is the build-side pipeline profile: how much wall time
-// the workers spent building versus blocked on their full pipes, and how
-// long the merger waited for sub-steps. BusyNs and StallNs sum over
-// workers, so they can exceed the run's wall time.
-type BuildShardedStats struct {
-	Workers      int
-	BusyNs       int64
-	StallNs      int64
-	MergeStallNs int64
-}
+// workerWindow is each builder worker's pipe depth in sub-steps.
+const workerWindow = 64
 
 // StreamQueuedEmbeddingProtocolSharded builds the same step stream as
 // StreamQueuedEmbeddingProtocol — byte-identical, pinned by the equivalence
@@ -66,7 +47,7 @@ type BuildShardedStats struct {
 // goroutine merges the per-step sub-slices in range order into sink.
 // Cancelling ctx tears the workers down and returns ctx.Err(); the caller
 // remains responsible for unblocking sink if it can block indefinitely
-// (RunStreamingEmbedding abandons its pipe's read side).
+// (for a Pipe, by abandoning its read side).
 func StreamQueuedEmbeddingProtocolSharded(ctx context.Context, guest, host *graph.Graph, f []int, T int, opts BuildShardedOptions, sink StepSink) error {
 	p, err := newEmbeddingPlan(guest, host, f, T)
 	if err != nil {
@@ -86,48 +67,22 @@ func streamSharded(ctx context.Context, total int, opts BuildShardedOptions, cor
 		workers = total
 	}
 	if workers <= 1 {
-		var start time.Time
-		if opts.MeasureStalls && opts.Stats != nil {
-			start = time.Now()
-		}
 		err := core(sink, 0, total)
-		if opts.MeasureStalls && opts.Stats != nil {
-			// Serial build: the sink is the only stall source, and it is
-			// owned by the caller; report wall time as busy and let the
-			// caller net out its own sink's send stalls.
-			opts.Stats.Workers = 1
-			opts.Stats.BusyNs = time.Since(start).Nanoseconds()
-		}
 		if err == nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return err
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = 64
-	}
 
 	pipes := make([]*Pipe, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		pipes[w] = NewPipe(window)
-		pipes[w].MeasureStalls = opts.MeasureStalls
+		pipes[w] = NewPipe(workerWindow)
 		lo, hi := w*total/workers, (w+1)*total/workers
 		wg.Add(1)
 		go func(p *Pipe, lo, hi int) {
 			defer wg.Done()
-			var start time.Time
-			if opts.MeasureStalls {
-				start = time.Now()
-			}
 			p.CloseSend(core(p, lo, hi))
-			if opts.MeasureStalls && opts.Stats != nil {
-				wall := time.Since(start).Nanoseconds()
-				stall, _ := p.Stalls()
-				atomic.AddInt64(&opts.Stats.BusyNs, wall-stall)
-				atomic.AddInt64(&opts.Stats.StallNs, stall)
-			}
 		}(pipes[w], lo, hi)
 	}
 
@@ -159,13 +114,6 @@ func streamSharded(ctx context.Context, total int, opts BuildShardedOptions, cor
 	wg.Wait()
 	close(watchDone)
 	watcher.Wait()
-	if opts.MeasureStalls && opts.Stats != nil {
-		opts.Stats.Workers = workers
-		for _, p := range pipes {
-			_, recv := p.Stalls()
-			opts.Stats.MergeStallNs += recv
-		}
-	}
 	if cerr := ctx.Err(); cerr != nil {
 		// The pipe-closed error a cancelled worker reports is the
 		// mechanism, not the cause.

@@ -72,7 +72,7 @@ func TestShardedBuildSegmentsThroughPipe(t *testing.T) {
 	pipe := NewPipe(4)
 	go func() {
 		pipe.CloseSend(StreamQueuedEmbeddingProtocolSharded(context.Background(), guest, h, nil, 3,
-			BuildShardedOptions{Workers: 4, Window: 2}, pipe))
+			BuildShardedOptions{Workers: 4}, pipe))
 	}()
 	got, err := Materialize(serial.Spec(), pipe)
 	if err != nil {
@@ -187,10 +187,10 @@ func TestShardedBuildContextCancel(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- StreamQueuedEmbeddingProtocolSharded(ctx, guest, h, nil, 4,
-			BuildShardedOptions{Workers: 3, Window: 2}, pipe)
+			BuildShardedOptions{Workers: 3}, pipe)
 	}()
 	// Keep draining so the merge is never parked on the main pipe — the
-	// caller's job (RunStreamingEmbedding abandons the pipe instead).
+	// caller's job (abandoning the pipe would do as well).
 	go func() {
 		for {
 			if _, err := pipe.NextStep(); err != nil {
@@ -224,7 +224,7 @@ func TestShardedBuildAbandonedPipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- StreamQueuedEmbeddingProtocolSharded(context.Background(), guest, h, nil, 4,
-			BuildShardedOptions{Workers: 4, Window: 2}, pipe)
+			BuildShardedOptions{Workers: 4}, pipe)
 	}()
 	if _, err := pipe.NextStep(); err != nil {
 		t.Fatal(err)
@@ -259,33 +259,6 @@ func TestMergeAlignmentGuard(t *testing.T) {
 	}
 	if err == nil || err.Error() != "pebble: sharded build: worker streams misaligned" {
 		t.Fatalf("want misalignment error, got %v", err)
-	}
-}
-
-// TestShardedBuildStats: with MeasureStalls, the harness reports worker
-// and merge accounting.
-func TestShardedBuildStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	guest, err := topology.RandomGuest(rng, 128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := topology.Torus(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats BuildShardedStats
-	err = StreamQueuedEmbeddingProtocolSharded(context.Background(), guest, h, nil, 2,
-		BuildShardedOptions{Workers: 2, MeasureStalls: true, Stats: &stats},
-		&ProtocolSink{Proto: &Protocol{Guest: guest, Host: h, T: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 2 {
-		t.Fatalf("stats.Workers = %d, want 2", stats.Workers)
-	}
-	if stats.BusyNs < 0 {
-		t.Fatalf("negative busy time %d", stats.BusyNs)
 	}
 }
 

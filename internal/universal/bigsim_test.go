@@ -26,54 +26,57 @@ func bigsimFixture(t testing.TB, n int) (*Host, func() *pebble.ChunkedLog) {
 	}
 }
 
-// TestRunStreamingEmbeddingBuildShardsDeterministic: every build-shard ×
-// validator-shard × barrier-window combination produces the same stream
-// fingerprint and the same deterministic report fields — the byte-identity
-// acceptance criterion, asserted end to end through the real pipeline.
-func TestRunStreamingEmbeddingBuildShardsDeterministic(t *testing.T) {
+// TestRunStreamingEmbeddingShardsDeterministic: at every validator shard
+// count the pipeline streams exactly the serial queued builder's bytes —
+// the archive it tees matches the fingerprint, step count and encoded size
+// of StreamQueuedEmbeddingProtocol fed straight into a ChunkedLog, and the
+// report's counts agree with it.
+func TestRunStreamingEmbeddingShardsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	guest, err := topology.RandomGuest(rng, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	host, mkChunks := bigsimFixture(t, 2000)
-	var base *StreamRunReport
-	for _, bs := range []int{1, 2, 3, 5} {
-		for _, vs := range []int{1, 3} {
-			chunks := mkChunks()
-			rep, err := RunStreamingEmbedding(guest, host.Graph, nil, 2, StreamRunConfig{
-				Shards:        vs,
-				BuildShards:   bs,
-				Window:        4,
-				BarrierWindow: 8,
-				Chunks:        chunks,
-			})
-			if err != nil {
-				t.Fatalf("build-shards=%d shards=%d: %v", bs, vs, err)
-			}
-			if err := chunks.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
-				base = rep
-				continue
-			}
-			if rep.Fingerprint != base.Fingerprint ||
-				rep.HostSteps != base.HostSteps ||
-				rep.Ops != base.Ops ||
-				rep.EncodedBytes != base.EncodedBytes {
-				t.Fatalf("build-shards=%d shards=%d: diverged from baseline: %+v vs %+v", bs, vs, rep, base)
-			}
-		}
+	base := mkChunks()
+	if err := pebble.StreamQueuedEmbeddingProtocol(guest, host.Graph, nil, 2, base); err != nil {
+		t.Fatal(err)
 	}
-	if base.Fingerprint == 0 {
-		t.Fatal("fingerprint not populated")
+	if err := base.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if base.Fingerprint() == 0 || base.Steps() == 0 {
+		t.Fatal("baseline archive empty")
+	}
+	for _, vs := range []int{1, 2, 3, 5} {
+		chunks := mkChunks()
+		rep, err := RunStreamingEmbedding(guest, host.Graph, nil, 2, StreamRunConfig{
+			Shards: vs,
+			Window: 4,
+			Chunks: chunks,
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", vs, err)
+		}
+		if err := chunks.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.ValidateShards != vs {
+			t.Fatalf("shards=%d: report says %d shards", vs, rep.ValidateShards)
+		}
+		if rep.Fingerprint != base.Fingerprint() ||
+			rep.HostSteps != base.Steps() ||
+			rep.EncodedBytes != base.TotalBytes() {
+			t.Fatalf("shards=%d: fingerprint %016x steps %d bytes %d, serial builder gives %016x steps %d bytes %d",
+				vs, rep.Fingerprint, rep.HostSteps, rep.EncodedBytes,
+				base.Fingerprint(), base.Steps(), base.TotalBytes())
+		}
 	}
 }
 
 // TestRunStreamingEmbeddingCancel: a pre-cancelled context tears the whole
-// pipeline down — builder workers, merger, watcher, validator shards — with
-// ctx.Err() as the verdict and no goroutine left behind.
+// pipeline down — builder, watcher, validator shards — with ctx.Err() as
+// the verdict and no goroutine left behind.
 func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	guest, err := topology.RandomGuest(rng, 50000, 3)
@@ -85,10 +88,9 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = RunStreamingEmbedding(guest, host.Graph, nil, 3, StreamRunConfig{
-		Shards:      2,
-		BuildShards: 2,
-		Window:      2,
-		Ctx:         ctx,
+		Shards: 2,
+		Window: 2,
+		Ctx:    ctx,
 	})
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -105,9 +107,9 @@ func TestRunStreamingEmbeddingCancel(t *testing.T) {
 	}
 }
 
-// TestRunStreamingEmbeddingAutoSizing: zero config resolves both sides of
-// the pipeline from GOMAXPROCS and reports the resolved values; the
-// validator takes the cores the builder leaves.
+// TestRunStreamingEmbeddingAutoSizing: zero config sizes the validator
+// from GOMAXPROCS — the cores the builder leaves, clamped to m — and
+// reports the resolved count.
 func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	guest, err := topology.RandomGuest(rng, 500, 3)
@@ -119,64 +121,37 @@ func TestRunStreamingEmbeddingAutoSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := runtime.GOMAXPROCS(0)
-	wantBuild := procs / 2
-	if wantBuild < 1 {
-		wantBuild = 1
-	}
-	wantValidate := procs - wantBuild
-	if wantValidate < 1 {
-		wantValidate = 1
-	}
-	if m := host.Graph.N(); wantValidate > m {
-		wantValidate = m
-	}
-	if rep.BuildShards != wantBuild || rep.ValidateShards != wantValidate {
-		t.Fatalf("auto-sized to build=%d validate=%d, want build=%d validate=%d",
-			rep.BuildShards, rep.ValidateShards, wantBuild, wantValidate)
+	want := min(max(1, runtime.GOMAXPROCS(0)-1), host.Graph.N())
+	if rep.ValidateShards != want {
+		t.Fatalf("auto-sized to %d validator shards, want %d", rep.ValidateShards, want)
 	}
 }
 
-// TestResolveShards pins StreamRunConfig's auto-sizing: half the cores
-// build, the validator gets what the builder leaves, both clamp to m, and
-// an explicit count keeps its meaning.
+// TestResolveShards pins StreamRunConfig's auto-sizing: the validator gets
+// the cores the builder leaves, never fewer than one, clamped to m, and an
+// explicit count keeps its meaning.
 func TestResolveShards(t *testing.T) {
 	cases := []struct {
-		shards, buildShards, procs, m int
-		wantValidate, wantBuild       int
+		shards, procs, m, want int
 	}{
-		{0, 0, 1, 1, 1, 1},
-		{0, 0, 1, 3, 1, 1},
-		{0, 0, 1, 160, 1, 1},
-		{0, 0, 2, 1, 1, 1},
-		{0, 0, 2, 3, 1, 1},
-		{0, 0, 2, 160, 1, 1},
-		{0, 0, 3, 1, 1, 1},
-		{0, 0, 3, 3, 2, 1},
-		{0, 0, 3, 160, 2, 1},
-		{0, 0, 4, 1, 1, 1},
-		{0, 0, 4, 3, 2, 2},
-		{0, 0, 4, 160, 2, 2},
-		{0, 0, 8, 1, 1, 1},
-		{0, 0, 8, 3, 3, 3},
-		{0, 0, 8, 160, 4, 4},
+		{0, 1, 1, 1},
+		{0, 1, 160, 1},
+		{0, 2, 1, 1},
+		{0, 2, 160, 1},
+		{0, 3, 160, 2},
+		{0, 4, 3, 3},
+		{0, 4, 160, 3},
+		{0, 8, 3, 3},
+		{0, 8, 160, 7},
 		// Explicit validator shards are kept, clamped only to m.
-		{4, 0, 2, 160, 4, 1},
-		{4, 0, 1, 3, 3, 1},
-		{1, 0, 8, 160, 1, 4},
-		// Explicit builder workers leave fewer cores, never fewer than one.
-		{0, 1, 8, 160, 7, 1},
-		{0, 2, 2, 160, 1, 2},
-		{0, 6, 4, 160, 1, 6},
-		{0, 5, 8, 3, 3, 3},
-		// Both explicit.
-		{3, 2, 2, 160, 3, 2},
+		{4, 2, 160, 4},
+		{4, 1, 3, 3},
+		{1, 8, 160, 1},
 	}
 	for _, c := range cases {
-		v, b := resolveShards(c.shards, c.buildShards, c.procs, c.m)
-		if v != c.wantValidate || b != c.wantBuild {
-			t.Errorf("resolveShards(shards=%d, build=%d, procs=%d, m=%d) = validate %d, build %d; want %d, %d",
-				c.shards, c.buildShards, c.procs, c.m, v, b, c.wantValidate, c.wantBuild)
+		if got := resolveShards(c.shards, c.procs, c.m); got != c.want {
+			t.Errorf("resolveShards(shards=%d, procs=%d, m=%d) = %d, want %d",
+				c.shards, c.procs, c.m, got, c.want)
 		}
 	}
 }
