@@ -39,13 +39,15 @@ perfbench-test:
 # count and window) for 30 s. Any verdict divergence or panic fails. Then
 # the three decoders (graph JSON, protocol JSON, UPB1 binary) and the
 # X-Uninet-Trace header parser for 10 s each: malformed input must be an
-# error, never a panic or an out-of-memory crash.
+# error, never a panic or an out-of-memory crash. Last, the chunk step codec
+# for 10 s: decoded steps must re-encode to the reference encoder's bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolReadJSON$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpanContext$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzStepCodec$$' -fuzztime 10s ./internal/pebble
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

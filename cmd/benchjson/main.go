@@ -9,13 +9,16 @@
 //
 // Columns after the iteration count are value/unit pairs, read by unit:
 // b.ReportMetric columns sit between ns/op and the -benchmem columns and are
-// skipped. Everything else (pass/fail markers, package headers, goos/goarch
+// kept under "metrics", unit → value. They carry the paper's quantities
+// (slowdown, inefficiency k, s/((n/m)logm), …), which are deterministic.
+// Everything else (pass/fail markers, package headers, goos/goarch
 // banners) is ignored. The trailing -N GOMAXPROCS suffix is stripped so
 // baselines compare across machines. Output is a single indented JSON object sorted by
 // benchmark name:
 //
 //	{
-//	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12}
+//	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12},
+//	  "BenchmarkCostedReplay": {"ns_per_op": 259651, …, "metrics": {"ops/replay": 1648}}
 //	}
 //
 // Compare mode checks a new baseline against an old one
@@ -25,16 +28,21 @@
 //
 // prints a per-benchmark delta table and exits non-zero when any shared
 // benchmark regresses beyond the percentage tolerances (-tol-ns, -tol-bytes,
-// -tol-allocs). Benchmarks present in only one file are reported but never
-// count as regressions, so baselines can gain and lose benchmarks freely.
+// -tol-allocs). It then lists the metrics, and exits non-zero when any
+// metric that both files record for a benchmark differs at all: a moved
+// paper number is a change of behaviour, not timing noise. Benchmarks and
+// metrics present in only one file are reported but never fail the
+// comparison, so baselines can gain and lose them freely.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -48,6 +56,8 @@ type Measurement struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Iterations  int64   `json:"iterations"`
+	// Metrics maps each b.ReportMetric unit to its value.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // gomaxprocsSuffix is the trailing -N the testing package appends to the
@@ -77,8 +87,8 @@ func parse(r io.Reader) (map[string]Measurement, error) {
 
 // parseLine reads one `testing.B` result row: the name, the iteration count,
 // then value/unit pairs. ns/op is mandatory; the -benchmem columns are
-// optional so plain `-bench` output still parses. ok is false for lines that
-// are not result rows.
+// optional so plain `-bench` output still parses, and every other unit is a
+// b.ReportMetric column. ok is false for lines that are not result rows.
 func parseLine(line string) (name string, meas Measurement, ok bool, err error) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
@@ -100,7 +110,16 @@ func parseLine(line string) (name string, meas Measurement, ok bool, err error) 
 		case "allocs/op":
 			meas.AllocsPerOp, err = strconv.ParseInt(value, 10, 64)
 		default:
-			continue
+			var v float64
+			if v, err = strconv.ParseFloat(value, 64); err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = errors.New("not a finite number")
+			}
+			if err == nil {
+				if meas.Metrics == nil {
+					meas.Metrics = make(map[string]float64)
+				}
+				meas.Metrics[unit] = v
+			}
 		}
 		if err != nil {
 			return "", Measurement{}, false, fmt.Errorf("bad %s in %q: %w", unit, line, err)
@@ -200,8 +219,62 @@ func compare(oldM, newM map[string]Measurement, tol tolerances, w io.Writer) int
 	return regressed
 }
 
-// runCompare loads the two baselines and writes the delta table; the error
-// carries the regression verdict for main's exit code.
+// compareMetrics lists, for every benchmark in both files, each metric
+// whose value differs and each metric only one file records, and returns
+// the number of shared metric values that differ. Metrics are compared
+// exactly: no tolerance applies.
+func compareMetrics(oldM, newM map[string]Measurement, w io.Writer) int {
+	names := make([]string, 0, len(oldM))
+	for name := range oldM {
+		if _, ok := newM[name]; ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+
+	changed, shared := 0, 0
+	for _, name := range names {
+		o, n := oldM[name].Metrics, newM[name].Metrics
+		units := make([]string, 0, len(o)+len(n))
+		for u := range o {
+			units = append(units, u)
+		}
+		for u := range n {
+			if _, ok := o[u]; !ok {
+				units = append(units, u)
+			}
+		}
+		sort.Strings(units)
+		for _, u := range units {
+			ov, inOld := o[u]
+			nv, inNew := n[u]
+			switch {
+			case !inNew:
+				fmt.Fprintf(w, "%-40s %-24s only in old baseline (%g)\n", name, u, ov)
+			case !inOld:
+				fmt.Fprintf(w, "%-40s %-24s only in new baseline (%g)\n", name, u, nv)
+			default:
+				shared++
+				if ov != nv {
+					changed++
+					fmt.Fprintf(w, "%-40s %-24s %g -> %g  CHANGED\n", name, u, ov, nv)
+				}
+			}
+		}
+	}
+	switch {
+	case changed > 0:
+		fmt.Fprintf(w, "%d of %d shared metric value(s) changed\n", changed, shared)
+	case shared == 0:
+		fmt.Fprintln(w, "no metric recorded in both files")
+	default:
+		fmt.Fprintf(w, "all %d shared metric value(s) unchanged\n", shared)
+	}
+	return changed
+}
+
+// runCompare loads the two baselines and writes the delta table, then the
+// metric check; the error carries both verdicts for main's exit code.
 func runCompare(oldPath, newPath string, tol tolerances, w io.Writer) error {
 	oldM, err := loadBaseline(oldPath)
 	if err != nil {
@@ -211,8 +284,11 @@ func runCompare(oldPath, newPath string, tol tolerances, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if regressed := compare(oldM, newM, tol, w); regressed > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed", regressed)
+	regressed := compare(oldM, newM, tol, w)
+	fmt.Fprintln(w)
+	changed := compareMetrics(oldM, newM, w)
+	if regressed > 0 || changed > 0 {
+		return fmt.Errorf("%d benchmark(s) regressed, %d metric value(s) changed", regressed, changed)
 	}
 	return nil
 }

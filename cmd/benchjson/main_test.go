@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,22 +47,63 @@ func TestParse(t *testing.T) {
 }
 
 // Go prints b.ReportMetric columns between ns/op and the -benchmem columns;
-// the memory columns must still be read, by unit rather than by position.
+// the memory columns must still be read, by unit rather than by position,
+// and the metric kept under its unit.
 func TestParseCustomMetricColumns(t *testing.T) {
 	const line = "BenchmarkCostedReplay-2  20  259651 ns/op  1648 ops/replay  8832 B/op  84 allocs/op\n"
 	got, err := parse(strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Measurement{NsPerOp: 259651, BytesPerOp: 8832, AllocsPerOp: 84, Iterations: 20}
-	if cr := got["BenchmarkCostedReplay"]; cr != want {
+	want := Measurement{NsPerOp: 259651, BytesPerOp: 8832, AllocsPerOp: 84, Iterations: 20,
+		Metrics: map[string]float64{"ops/replay": 1648}}
+	if cr := got["BenchmarkCostedReplay"]; !reflect.DeepEqual(cr, want) {
 		t.Errorf("CostedReplay = %+v, want %+v", cr, want)
 	}
 }
 
+// Several metrics on one row, fractional and with units that hold
+// punctuation, without -benchmem columns; a row with none keeps a nil map,
+// which the JSON omits.
+func TestParseKeepsMetrics(t *testing.T) {
+	const rows = "BenchmarkStreamingPipeline/build-shards=1-2  1  15924395 ns/op  131428 peak-chunk-bytes  645.0 slowdown  3.571 s/((n/m)logm)\n" +
+		"BenchmarkPlain-2  5  100 ns/op  0 B/op  0 allocs/op\n"
+	got, err := parse(strings.NewReader(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"peak-chunk-bytes": 131428, "slowdown": 645, "s/((n/m)logm)": 3.571}
+	if m := got["BenchmarkStreamingPipeline/build-shards=1"].Metrics; !reflect.DeepEqual(m, want) {
+		t.Errorf("metrics = %v, want %v", m, want)
+	}
+	if m := got["BenchmarkPlain"].Metrics; m != nil {
+		t.Errorf("row without metrics parsed %v", m)
+	}
+	var out bytes.Buffer
+	if err := run(strings.NewReader(rows), &out); err != nil {
+		t.Fatal(err)
+	}
+	var back map[string]Measurement
+	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, got) {
+		t.Errorf("JSON round trip changed the measurements:\n%s", out.String())
+	}
+	if strings.Count(out.String(), `"metrics"`) != 1 {
+		t.Errorf("want one metrics object:\n%s", out.String())
+	}
+}
+
 func TestParseRejectsBadValue(t *testing.T) {
-	if _, err := parse(strings.NewReader("BenchmarkX-2  10  12 ns/op  x1 B/op\n")); err == nil {
-		t.Error("unparsable B/op accepted")
+	for _, line := range []string{
+		"BenchmarkX-2  10  12 ns/op  x1 B/op\n",
+		"BenchmarkX-2  10  12 ns/op  1.5x slowdown\n",
+		"BenchmarkX-2  10  12 ns/op  NaN slowdown\n", // JSON has no NaN
+	} {
+		if _, err := parse(strings.NewReader(line)); err == nil {
+			t.Errorf("accepted %q", line)
+		}
 	}
 }
 
@@ -154,6 +196,52 @@ func TestCompareWithinToleranceIsClean(t *testing.T) {
 	}
 }
 
+// Metrics must match exactly, whatever the timing tolerances; a metric or
+// benchmark on one side only is reported but passes.
+func TestCompareMetrics(t *testing.T) {
+	oldM := map[string]Measurement{
+		"BenchmarkSame":    {Metrics: map[string]float64{"slowdown": 645, "lambda2": 0.25}},
+		"BenchmarkMoved":   {Metrics: map[string]float64{"inefficiency_k": 26.16, "slowdown": 7}},
+		"BenchmarkOneSide": {Metrics: map[string]float64{"old_only": 1}},
+		"BenchmarkGone":    {Metrics: map[string]float64{"x": 1}},
+	}
+	newM := map[string]Measurement{
+		"BenchmarkSame":    {NsPerOp: 1e9, Metrics: map[string]float64{"slowdown": 645, "lambda2": 0.25}},
+		"BenchmarkMoved":   {Metrics: map[string]float64{"inefficiency_k": 26.17, "slowdown": 7}},
+		"BenchmarkOneSide": {Metrics: map[string]float64{"new_only": 2}},
+	}
+	var out bytes.Buffer
+	if got := compareMetrics(oldM, newM, &out); got != 1 {
+		t.Errorf("compareMetrics counted %d changes, want 1\n%s", got, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"BenchmarkMoved", "inefficiency_k", "26.16 -> 26.17  CHANGED",
+		"old_only", "only in old baseline (1)",
+		"new_only", "only in new baseline (2)",
+		"1 of 4 shared metric value(s) changed",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("report missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "BenchmarkSame") || strings.Contains(text, "BenchmarkGone") {
+		t.Errorf("report lists benchmarks whose metrics did not change:\n%s", text)
+	}
+
+	out.Reset()
+	if got := compareMetrics(oldM, oldM, &out); got != 0 || !strings.Contains(out.String(), "all 6 shared metric value(s) unchanged") {
+		t.Errorf("identical files: %d changes\n%s", got, out.String())
+	}
+
+	// A baseline written before metrics were kept shares none.
+	out.Reset()
+	bare := map[string]Measurement{"BenchmarkSame": {NsPerOp: 1}}
+	if got := compareMetrics(bare, newM, &out); got != 0 || !strings.Contains(out.String(), "no metric recorded in both files") {
+		t.Errorf("metric-less old baseline: %d changes\n%s", got, out.String())
+	}
+}
+
 func TestRunCompareEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := dir + "/old.json"
@@ -179,6 +267,14 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	out.Reset()
 	if err := runCompare(oldPath, newPath, tolerances{ns: 25, bytes: 10, allocs: 10}, &out); err == nil {
 		t.Error("2x ns/op regression not reported as error")
+	}
+
+	// Identical timings, one paper number moved: the metric check fails it.
+	writeBaseline(oldPath, map[string]Measurement{"BenchmarkX": {NsPerOp: 1000, Metrics: map[string]float64{"slowdown": 3.57}}})
+	writeBaseline(newPath, map[string]Measurement{"BenchmarkX": {NsPerOp: 1000, Metrics: map[string]float64{"slowdown": 3.58}}})
+	out.Reset()
+	if err := runCompare(oldPath, newPath, tolerances{ns: 25, bytes: 10, allocs: 10}, &out); err == nil || !strings.Contains(err.Error(), "1 metric value(s) changed") {
+		t.Errorf("changed metric: err = %v\n%s", err, out.String())
 	}
 
 	if err := runCompare(dir+"/missing.json", newPath, tolerances{}, &out); err == nil {

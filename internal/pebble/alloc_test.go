@@ -102,6 +102,38 @@ func TestPipelinedBuildAllocations(t *testing.T) {
 	}
 }
 
+// discardSink drops every step.
+type discardSink struct{}
+
+func (discardSink) AppendStep([]Op) error { return nil }
+
+// TestQueuedBuildAllocations pins that the queued builder allocates only in
+// set-up: the plan, the task-queue pool and a scratch step buffer that stops
+// growing within the first guest step, whose schedule every later guest
+// step repeats. More guest steps, and so more host steps, must not cost a
+// single allocation more.
+func TestQueuedBuildAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	guest, err := topology.RandomGuest(rng, 512, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := topology.WrappedButterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(T int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := StreamQueuedEmbeddingProtocol(guest, host, nil, T, discardSink{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(2), allocs(6); short != long {
+		t.Errorf("queued build allocates %.0f at T = 2 but %.0f at T = 6: something allocates per guest or host step", short, long)
+	}
+}
+
 // Streaming warm-path budgets: the per-step steady state of the pipeline —
 // pipe hand-off, step codec, and sharded validation — allocates nothing,
 // matching the dense engine's warm ApplyStep guarantee. These pins are what

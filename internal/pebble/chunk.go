@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"universalnet/internal/graph"
 	"universalnet/internal/obs"
@@ -26,16 +27,42 @@ import (
 // lossless for any Op value (corrupted or adversarial protocols round-trip
 // too, which the fuzz target exercises); well-formed ops cost ~5–8 bytes.
 
-// appendOpsBytes encodes a run of ops (no count prefix) onto dst.
+// maxEncodedOpBytes is the largest encoding of one op: five varints of
+// at most binary.MaxVarintLen64 bytes each.
+const maxEncodedOpBytes = 5 * binary.MaxVarintLen64
+
+// appendOpsBytes encodes a run of ops (no count prefix) onto dst. It grows
+// dst once for the worst case and then writes each zigzag varint by index —
+// the bytes binary.AppendVarint would append, without its per-field append.
 func appendOpsBytes(dst []byte, ops []Op) []byte {
-	for _, op := range ops {
-		dst = binary.AppendVarint(dst, int64(op.Kind))
-		dst = binary.AppendVarint(dst, int64(op.Proc))
-		dst = binary.AppendVarint(dst, int64(op.Pebble.P))
-		dst = binary.AppendVarint(dst, int64(op.Pebble.T))
-		dst = binary.AppendVarint(dst, int64(op.Peer))
+	dst = slices.Grow(dst, len(ops)*maxEncodedOpBytes)
+	n := len(dst)
+	buf := dst[:cap(dst)]
+	for i := range ops {
+		op := &ops[i]
+		n = putVarintAt(buf, n, int64(op.Kind))
+		n = putVarintAt(buf, n, int64(op.Proc))
+		n = putVarintAt(buf, n, int64(op.Pebble.P))
+		n = putVarintAt(buf, n, int64(op.Pebble.T))
+		n = putVarintAt(buf, n, int64(op.Peer))
 	}
-	return dst
+	return buf[:n]
+}
+
+// putVarintAt writes v's zigzag varint at buf[n:] and returns the offset
+// just past it.
+func putVarintAt(buf []byte, n int, v int64) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	for ux >= 0x80 {
+		buf[n] = byte(ux) | 0x80
+		ux >>= 7
+		n++
+	}
+	buf[n] = byte(ux)
+	return n + 1
 }
 
 // appendStepBytes encodes one step onto dst.
@@ -149,8 +176,8 @@ func NewChunkedLog(opts ChunkedLogOptions) *ChunkedLog {
 }
 
 // Fingerprint returns the FNV-1a hash of the encoded step stream so far —
-// a cheap identity for asserting that two runs (say, different build-shard
-// counts) produced byte-identical protocols.
+// a cheap identity for asserting that two runs (say, with different
+// validator shard counts) produced byte-identical protocols.
 func (l *ChunkedLog) Fingerprint() uint64 { return l.fingerprint }
 
 // noteStep finishes one appended step whose encoding starts at byte offset

@@ -2,6 +2,8 @@ package pebble
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -157,9 +159,27 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
+// referenceStepBytes is the step encoding spelled out with one
+// binary.AppendUvarint or binary.AppendVarint per field. appendStepBytes
+// must write exactly these bytes: a varint that is not canonical still
+// decodes, so a round trip alone would not notice one, yet it would change
+// every stream fingerprint.
+func referenceStepBytes(dst []byte, ops []Op) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ops)))
+	for _, op := range ops {
+		dst = binary.AppendVarint(dst, int64(op.Kind))
+		dst = binary.AppendVarint(dst, int64(op.Proc))
+		dst = binary.AppendVarint(dst, int64(op.Pebble.P))
+		dst = binary.AppendVarint(dst, int64(op.Pebble.T))
+		dst = binary.AppendVarint(dst, int64(op.Peer))
+	}
+	return dst
+}
+
 // FuzzStepCodec checks both directions: any encodable step round-trips, and
 // the decoder never panics or over-reads on arbitrary bytes (re-encoding a
-// successful decode must reproduce a decodable, equal step).
+// successful decode must reproduce a decodable, equal step). The
+// re-encoding must also match referenceStepBytes byte for byte.
 func FuzzStepCodec(f *testing.F) {
 	pr := streamFixture(f)
 	var seed []byte
@@ -169,6 +189,16 @@ func FuzzStepCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x00})
+	// Fields at the varint length boundaries: zigzag maps 63 and 64 to one
+	// and two bytes, 8191 and 8192 to two and three, and the int64
+	// extremes to ten.
+	for _, v := range []int64{math.MinInt64, math.MaxInt64, -1, 63, 64, 8191, 8192} {
+		x := int(v)
+		f.Add(referenceStepBytes(nil, []Op{
+			{Kind: OpKind(x), Proc: x, Pebble: Type{P: x, T: x}, Peer: x},
+			{Kind: Send, Proc: 1, Pebble: Type{P: x, T: 2}, Peer: x},
+		}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, n, err := decodeStepBytes(data, nil)
 		if err != nil {
@@ -177,7 +207,17 @@ func FuzzStepCodec(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("decoder consumed %d of %d bytes", n, len(data))
 		}
-		re := appendStepBytes(nil, ops)
+		// Encode after a prefix so that writing at a non-zero offset is
+		// covered; the prefix must survive untouched.
+		prefix := []byte{0xa5, 0x5a, 0xff}
+		re := appendStepBytes(append([]byte(nil), prefix...), ops)
+		if !bytes.Equal(re[:len(prefix)], prefix) {
+			t.Fatalf("encoder overwrote the existing bytes: % x", re[:len(prefix)])
+		}
+		re = re[len(prefix):]
+		if want := referenceStepBytes(nil, ops); !bytes.Equal(re, want) {
+			t.Fatalf("encoding differs from the reference:\n got % x\nwant % x", re, want)
+		}
 		ops2, n2, err := decodeStepBytes(re, nil)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -35,14 +35,9 @@ type embeddingPlan struct {
 	// Distribution tasks in guest order: task id's pebble is guest
 	// taskP[id]'s, bound for host taskDst[id]; a guest's tasks follow its
 	// neighbour order. The list is the same for every guest step t — only
-	// the pebble's T differs. tmplHead/tmplTail/tmplNext thread the tasks
-	// into per-source FIFO queues, which the queued builder copies at each
-	// guest step and mutates.
-	taskP    []int32
-	taskDst  []int32
-	tmplNext []int32
-	tmplHead []int32
-	tmplTail []int32
+	// the pebble's T differs.
+	taskP   []int32
+	taskDst []int32
 
 	// For each task destination dst, nhop[dst][at] is the first neighbour
 	// of at one BFS level closer to dst (-1 at dst itself) and
@@ -129,12 +124,6 @@ func newEmbeddingPlan(guest, host *graph.Graph, f []int, T int) (*embeddingPlan,
 	tasks := 2 * guest.M()
 	p.taskP = make([]int32, 0, tasks)
 	p.taskDst = make([]int32, 0, tasks)
-	p.tmplNext = make([]int32, 0, tasks)
-	p.tmplHead = make([]int32, m)
-	p.tmplTail = make([]int32, m)
-	for q := 0; q < m; q++ {
-		p.tmplHead[q], p.tmplTail[q] = -1, -1
-	}
 	seenStamp := make([]int32, m)
 	seenEpoch := int32(0)
 	totalHops := 0
@@ -148,16 +137,8 @@ func newEmbeddingPlan(guest, host *graph.Graph, f []int, T int) (*embeddingPlan,
 				continue
 			}
 			seenStamp[h] = seenEpoch
-			id := int32(len(p.taskP))
 			p.taskP = append(p.taskP, int32(i))
 			p.taskDst = append(p.taskDst, int32(h))
-			p.tmplNext = append(p.tmplNext, -1)
-			if p.tmplTail[src] < 0 {
-				p.tmplHead[src] = id
-			} else {
-				p.tmplNext[p.tmplTail[src]] = id
-			}
-			p.tmplTail[src] = id
 			totalHops += int(distTo(h)[src])
 		}
 	}

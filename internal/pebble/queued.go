@@ -49,9 +49,7 @@ func StreamQueuedEmbeddingProtocol(guest, host *graph.Graph, f []int, T int, sin
 // replayed identically in every range; only emission is filtered.
 func (p *embeddingPlan) streamQueued(sink StepSink, emitLo, emitHi int) error {
 	m := p.m
-	next := make([]int32, len(p.tmplNext))
-	head := make([]int32, m)
-	tail := make([]int32, m)
+	queues := newTaskQueues(m, len(p.taskP))
 	busyStamp := make([]int32, m)
 	busyEpoch := int32(0)
 	var opsBuf []Op
@@ -65,11 +63,12 @@ func (p *embeddingPlan) streamQueued(sink StepSink, emitLo, emitHi int) error {
 			break // final pebbles need not be distributed
 		}
 
-		// Distribution phase: reset the queues from the template and run
-		// the head-of-line forwarding schedule.
-		copy(next, p.tmplNext)
-		copy(head, p.tmplHead)
-		copy(tail, p.tmplTail)
+		// Distribution phase: queue every task at its source in task order
+		// (the previous phase left every queue empty), then run the
+		// head-of-line forwarding schedule.
+		for id, gp := range p.taskP {
+			queues.push(p.f[gp], taskRec{dst: p.taskDst[id], p: gp})
+		}
 		pending := len(p.taskP)
 		guard := 0
 		for pending > 0 {
@@ -81,11 +80,14 @@ func (p *embeddingPlan) streamQueued(sink StepSink, emitLo, emitHi int) error {
 			opsBuf = opsBuf[:0]
 			moved := 0
 			for q := 0; q < m; q++ {
-				if busyStamp[q] == busyEpoch || head[q] < 0 {
+				if busyStamp[q] == busyEpoch {
 					continue
 				}
-				id := head[q]
-				dst := int(p.taskDst[id])
+				rec, ok := queues.front(q)
+				if !ok {
+					continue
+				}
+				dst := int(rec.dst)
 				v := int(p.nhop[dst][q])
 				if v < 0 {
 					return fmt.Errorf("pebble: no route from %d to %d", q, dst)
@@ -94,28 +96,19 @@ func (p *embeddingPlan) streamQueued(sink StepSink, emitLo, emitHi int) error {
 					continue // head-of-line: queue waits for the next step
 				}
 				// Pop from q, transfer, and settle at v.
-				head[q] = next[id]
-				if head[q] < 0 {
-					tail[q] = -1
-				}
-				next[id] = -1
+				queues.pop(q)
 				busyStamp[q] = busyEpoch
 				busyStamp[v] = busyEpoch
 				moved++
 				if q >= emitLo && q < emitHi {
-					pb := Type{P: int(p.taskP[id]), T: t}
+					pb := Type{P: int(rec.p), T: t}
 					opsBuf = append(opsBuf, Op{Kind: Send, Proc: q, Pebble: pb, Peer: v})
 					opsBuf = append(opsBuf, Op{Kind: Receive, Proc: v, Pebble: pb, Peer: q})
 				}
 				if dst == v {
 					pending--
 				} else {
-					if tail[v] < 0 {
-						head[v] = id
-					} else {
-						next[tail[v]] = id
-					}
-					tail[v] = id
+					queues.push(v, rec)
 				}
 			}
 			if moved == 0 {
@@ -127,6 +120,112 @@ func (p *embeddingPlan) streamQueued(sink StepSink, emitLo, emitHi int) error {
 		}
 	}
 	return nil
+}
+
+// taskRec is one queued distribution task: guest p's pebble, bound for
+// host dst.
+type taskRec struct{ dst, p int32 }
+
+// queueBlock is the record capacity of one task-queue block. Small blocks
+// keep the pool's partial-block overhead (up to two per host) low on small
+// hosts; at 16 records a block is two cache lines.
+const queueBlock = 16
+
+// taskQueues is the queued builder's per-host FIFOs of task records. Each
+// queue is a chain of queueBlock-record blocks drawn from one pool, so a
+// host's pops read its records in order instead of chasing a global
+// linked list through the task arrays.
+//
+// The pool holds ⌈tasks/queueBlock⌉ + 2m + 1 blocks, one more than can
+// ever be in use. At most tasks records are live at once, because a
+// transfer pops its record before it pushes it on. The blocks between a
+// queue's head and tail are full, and a block goes back to the free list as
+// soon as its last record is popped, so each host holds at most one partial
+// head block and one partial tail block besides full blocks of live
+// records. So a run allocates nothing after set-up, and newTail cannot
+// find the free list empty.
+type taskQueues struct {
+	recs []taskRec // block b is recs[b*queueBlock : (b+1)*queueBlock]
+	link []int32   // the block after b in its queue, or on the free list
+	free int32     // first free block; -1 when none
+	q    []hostQueue
+}
+
+// hostQueue locates one host's FIFO by record index into taskQueues.recs:
+// head is the next record to pop and tail the slot of the next push. An
+// empty queue owns no block and has head -1 and tail 0, so a push finds
+// tail on a block boundary exactly when it needs a new block.
+type hostQueue struct{ head, tail int32 }
+
+func newTaskQueues(m, tasks int) *taskQueues {
+	blocks := (tasks+queueBlock-1)/queueBlock + 2*m + 1
+	tq := &taskQueues{
+		recs: make([]taskRec, blocks*queueBlock),
+		link: make([]int32, blocks),
+		q:    make([]hostQueue, m),
+	}
+	for b := range tq.link {
+		tq.link[b] = int32(b + 1)
+	}
+	tq.link[blocks-1] = -1
+	for h := range tq.q {
+		tq.q[h].head = -1
+	}
+	return tq
+}
+
+// push appends r to host h's queue.
+func (tq *taskQueues) push(h int, r taskRec) {
+	hq := &tq.q[h]
+	if hq.tail%queueBlock == 0 {
+		tq.newTail(hq)
+	}
+	tq.recs[hq.tail] = r
+	hq.tail++
+}
+
+// newTail takes a block off the free list and makes it an empty queue's
+// first block or links it after a full tail block.
+func (tq *taskQueues) newTail(hq *hostQueue) {
+	b := tq.free
+	tq.free = tq.link[b]
+	if hq.head < 0 {
+		hq.head = b * queueBlock
+	} else {
+		tq.link[hq.tail/queueBlock-1] = b
+	}
+	hq.tail = b * queueBlock
+}
+
+// front returns the head record of host h's queue; ok is false when the
+// queue is empty.
+func (tq *taskQueues) front(h int) (r taskRec, ok bool) {
+	if head := tq.q[h].head; head >= 0 {
+		return tq.recs[head], true
+	}
+	return taskRec{}, false
+}
+
+// pop drops the head record of host h's non-empty queue.
+func (tq *taskQueues) pop(h int) {
+	hq := &tq.q[h]
+	hq.head++
+	if hq.head == hq.tail || hq.head%queueBlock == 0 {
+		tq.dropHead(hq)
+	}
+}
+
+// dropHead returns the block a pop just drained to the free list: the
+// queue's last block, which empties the queue, or its head block, which
+// passes the head on.
+func (tq *taskQueues) dropHead(hq *hostQueue) {
+	b := (hq.head - 1) / queueBlock
+	if hq.head == hq.tail {
+		hq.head, hq.tail = -1, 0
+	} else {
+		hq.head = tq.link[b] * queueBlock
+	}
+	tq.link[b], tq.free = tq.free, b
 }
 
 // BuildQueuedEmbeddingProtocol materializes the queued builder's schedule —

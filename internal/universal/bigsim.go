@@ -55,8 +55,8 @@ type StreamRunReport struct {
 	// ValidateShards is the resolved validator parallelism.
 	ValidateShards int
 	// Pipe stalls (nonzero only with MeasureStalls): SendStallNs is the
-	// builder blocked on a full pipe, RecvStallNs the validator waiting
-	// for steps.
+	// builder waiting on a full pipe, RecvStallNs the validator waiting
+	// for steps, spinning or parked.
 	SendStallNs, RecvStallNs int64
 	// Chunk storage profile (nonzero only with a chunk tee).
 	EncodedBytes, PeakChunkBytes, SpilledBytes int64
