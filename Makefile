@@ -37,16 +37,19 @@ perfbench-test:
 # Differential fuzz smoke: random guests, hosts and op streams through the
 # map-based oracle, State, StreamValidator and ValidateSharded (every shard
 # count and window) for 30 s. Any verdict divergence or panic fails. Then
-# the three decoders (graph JSON, protocol JSON, UPB1 binary) and the
-# X-Uninet-Trace header parser for 10 s each: malformed input must be an
-# error, never a panic or an out-of-memory crash. Last, the chunk step codec
-# for 10 s: decoded steps must re-encode to the reference encoder's bytes.
+# the three decoders (graph JSON, protocol JSON, UPB1 binary), the
+# X-Uninet-Trace header parser and the Prometheus text parser that
+# `uninet trace` runs on a peer's /metrics for 10 s each: malformed input
+# must be an error, never a panic or an out-of-memory crash. Last, the
+# chunk step codec for 10 s: decoded steps must re-encode to the reference
+# encoder's bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolReadJSON$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpanContext$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStepCodec$$' -fuzztime 10s ./internal/pebble
 
 bench:
@@ -61,11 +64,13 @@ BENCH_RUN = if ! $(GO) test -bench=. -benchmem -run=^$$ ./... > $$raw; then \
 	cat $$raw; rm -f $$raw; echo "benchmarks failed"; exit 1; fi
 
 # Machine-readable benchmark baseline: BENCH_<date>.json maps each benchmark
-# name to ns/op, B/op, and allocs/op (see README "Benchmark baselines").
+# name to ns/op, B/op, and allocs/op (see README "Benchmark baselines"),
+# and its "stamp" key names the machine and commit. `go run` stamps the
+# commit into benchjson only with -buildvcs=true.
 bench-json:
 	@raw=$$(mktemp); $(BENCH_RUN); \
 	out=BENCH_$$(date +%Y-%m-%d).json; \
-	$(GO) run ./cmd/benchjson < $$raw > $$out; status=$$?; rm -f $$raw; \
+	$(GO) run -buildvcs=true ./cmd/benchjson < $$raw > $$out; status=$$?; rm -f $$raw; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	echo "wrote $$out"
 
@@ -80,7 +85,7 @@ bench-compare:
 	echo "comparing against $$base"; \
 	raw=$$(mktemp); $(BENCH_RUN); \
 	tmp=$$(mktemp); \
-	$(GO) run ./cmd/benchjson < $$raw > $$tmp || { rm -f $$raw $$tmp; exit 1; }; \
+	$(GO) run -buildvcs=true ./cmd/benchjson < $$raw > $$tmp || { rm -f $$raw $$tmp; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare $$base $$tmp \
 		-tol-ns $(BENCH_TOL_NS) -tol-bytes $(BENCH_TOL_BYTES) -tol-allocs $(BENCH_TOL_ALLOCS); \
 	status=$$?; rm -f $$raw $$tmp; exit $$status

@@ -14,11 +14,13 @@
 // Everything else (pass/fail markers, package headers, goos/goarch
 // banners) is ignored. The trailing -N GOMAXPROCS suffix is stripped so
 // baselines compare across machines. Output is a single indented JSON object sorted by
-// benchmark name:
+// benchmark name, with the machine and build it was measured on under the
+// reserved key "stamp":
 //
 //	{
 //	  "BenchmarkE1Suite": {"ns_per_op": 95310417, "bytes_per_op": 4240168, "allocs_per_op": 31456, "iterations": 12},
-//	  "BenchmarkCostedReplay": {"ns_per_op": 259651, …, "metrics": {"ops/replay": 1648}}
+//	  "BenchmarkCostedReplay": {"ns_per_op": 259651, …, "metrics": {"ops/replay": 1648}},
+//	  "stamp": {"nproc": 2, "gomaxprocs": 2, "cpu_model": "…", "go_version": "go1.24.0", "git_commit": "…"}
 //	}
 //
 // Compare mode checks a new baseline against an old one
@@ -32,7 +34,10 @@
 // metric that both files record for a benchmark differs at all: a moved
 // paper number is a change of behaviour, not timing noise. Benchmarks and
 // metrics present in only one file are reported but never fail the
-// comparison, so baselines can gain and lose them freely.
+// comparison, so baselines can gain and lose them freely. When both files
+// carry a stamp and their machine fields (all but the commit) differ, it
+// warns first; the verdict does not change, and files without a stamp are
+// read as before.
 package main
 
 import (
@@ -136,22 +141,68 @@ func run(in io.Reader, out io.Writer) error {
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark result lines found on stdin")
 	}
+	doc := make(map[string]any, len(results)+1)
+	for name, m := range results {
+		doc[name] = m
+	}
+	doc[stampKey] = currentStamp()
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(results) // map keys marshal sorted
+	return enc.Encode(doc) // map keys marshal sorted
+}
+
+// decodeBaseline splits a benchjson-format JSON baseline into its
+// measurements and its stamp, which is nil in a file written before
+// baselines were stamped.
+func decodeBaseline(data []byte) (map[string]Measurement, *stamp, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, nil, err
+	}
+	var st *stamp
+	if s, ok := raw[stampKey]; ok {
+		st = new(stamp)
+		if err := json.Unmarshal(s, st); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", stampKey, err)
+		}
+		delete(raw, stampKey)
+	}
+	out := make(map[string]Measurement, len(raw))
+	for name, m := range raw {
+		var meas Measurement
+		if err := json.Unmarshal(m, &meas); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
+		}
+		out[name] = meas
+	}
+	return out, st, nil
 }
 
 // loadBaseline reads a benchjson-format JSON baseline file.
-func loadBaseline(path string) (map[string]Measurement, error) {
+func loadBaseline(path string) (map[string]Measurement, *stamp, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out map[string]Measurement
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	m, st, err := decodeBaseline(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return out, nil
+	return m, st, nil
+}
+
+// compareStamps warns when the two baselines were measured on different
+// machines, and notes a baseline without a stamp. It never fails the
+// comparison: the timing tolerances stay the gate.
+func compareStamps(oldSt, newSt *stamp, w io.Writer) {
+	switch {
+	case oldSt == nil || newSt == nil:
+		fmt.Fprintln(w, "note: a baseline has no machine stamp; machines not compared")
+	case oldSt.machine() != newSt.machine():
+		fmt.Fprintf(w, "warning: baselines measured on different machines; ns/op deltas include the machine\n  old: %d cpu, GOMAXPROCS %d, %s, %s\n  new: %d cpu, GOMAXPROCS %d, %s, %s\n",
+			oldSt.NumCPU, oldSt.GOMAXPROCS, oldSt.CPU, oldSt.Go,
+			newSt.NumCPU, newSt.GOMAXPROCS, newSt.CPU, newSt.Go)
+	}
 }
 
 // deltaPct returns the percentage change from old to new. A zero old value
@@ -276,14 +327,15 @@ func compareMetrics(oldM, newM map[string]Measurement, w io.Writer) int {
 // runCompare loads the two baselines and writes the delta table, then the
 // metric check; the error carries both verdicts for main's exit code.
 func runCompare(oldPath, newPath string, tol tolerances, w io.Writer) error {
-	oldM, err := loadBaseline(oldPath)
+	oldM, oldSt, err := loadBaseline(oldPath)
 	if err != nil {
 		return err
 	}
-	newM, err := loadBaseline(newPath)
+	newM, newSt, err := loadBaseline(newPath)
 	if err != nil {
 		return err
 	}
+	compareStamps(oldSt, newSt, w)
 	regressed := compare(oldM, newM, tol, w)
 	fmt.Fprintln(w)
 	changed := compareMetrics(oldM, newM, w)

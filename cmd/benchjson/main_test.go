@@ -83,8 +83,8 @@ func TestParseKeepsMetrics(t *testing.T) {
 	if err := run(strings.NewReader(rows), &out); err != nil {
 		t.Fatal(err)
 	}
-	var back map[string]Measurement
-	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
+	back, _, err := decodeBaseline(out.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, got) {
@@ -112,12 +112,15 @@ func TestRunEmitsSortedJSON(t *testing.T) {
 	if err := run(strings.NewReader(sample), &out); err != nil {
 		t.Fatal(err)
 	}
-	var decoded map[string]Measurement
-	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
+	decoded, st, err := decodeBaseline(out.Bytes())
+	if err != nil {
+		t.Fatalf("output is not a valid baseline: %v\n%s", err, out.String())
 	}
 	if len(decoded) != 3 {
 		t.Fatalf("decoded %d entries, want 3", len(decoded))
+	}
+	if st == nil || *st != currentStamp() {
+		t.Fatalf("stamp = %+v, want %+v\n%s", st, currentStamp(), out.String())
 	}
 	// Go marshals map keys sorted, so the baseline file is diff-stable.
 	i1 := bytes.Index(out.Bytes(), []byte("BenchmarkE1Suite"))
@@ -279,5 +282,57 @@ func TestRunCompareEndToEnd(t *testing.T) {
 
 	if err := runCompare(dir+"/missing.json", newPath, tolerances{}, &out); err == nil {
 		t.Error("missing old baseline accepted")
+	}
+}
+
+// -compare warns, and still passes, when the stamps name different
+// machines; a different commit on the same machine is not a warning, and
+// a stamp-less baseline such as BENCH_2026-10-17.json is still read.
+func TestCompareStamps(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, st *stamp) string {
+		doc := map[string]any{"BenchmarkX": Measurement{NsPerOp: 1000}}
+		if st != nil {
+			doc[stampKey] = st
+		}
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/" + name
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	here := stamp{NumCPU: 2, GOMAXPROCS: 2, CPU: "Intel(R) Xeon(R) Processor", Go: "go1.24.0", Commit: "aaa"}
+	later := here
+	later.Commit = "bbb"
+	wider := here
+	wider.NumCPU, wider.GOMAXPROCS = 8, 8
+
+	for _, c := range []struct {
+		name     string
+		old, new *stamp
+		want     string
+	}{
+		{"same machine, new commit", &here, &later, ""},
+		{"different machine", &here, &wider, "warning: baselines measured on different machines"},
+		{"stamp-less old baseline", nil, &here, "note: a baseline has no machine stamp"},
+	} {
+		var out bytes.Buffer
+		err := runCompare(write("old.json", c.old), write("new.json", c.new), tolerances{ns: 25, bytes: 10, allocs: 10}, &out)
+		if err != nil {
+			t.Errorf("%s: the stamps failed the comparison: %v", c.name, err)
+		}
+		got := out.String()
+		if c.want == "" && (strings.Contains(got, "warning") || strings.Contains(got, "note")) || !strings.Contains(got, c.want) {
+			t.Errorf("%s: want %q in\n%s", c.name, c.want, got)
+		}
+	}
+
+	m, st, err := loadBaseline("../../BENCH_2026-10-17.json")
+	if err != nil || st != nil || len(m) == 0 {
+		t.Fatalf("stamp-less committed baseline: %d entries, stamp %+v, err %v", len(m), st, err)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -112,28 +113,80 @@ func TestWritePromSanitizesAndEscapes(t *testing.T) {
 	}
 }
 
+// malformedProm maps each rule ParseProm enforces to an exposition that
+// breaks it.
+var malformedProm = map[string]string{
+	"undeclared sample":    "foo 1\n",
+	"bad name":             "# TYPE 9bad counter\n9bad 1\n",
+	"missing value":        "# TYPE foo counter\nfoo\n",
+	"bad value":            "# TYPE foo counter\nfoo xyz\n",
+	"unterminated labels":  "# TYPE foo counter\nfoo{a=\"1\" 2\n",
+	"duplicate TYPE":       "# TYPE foo counter\n# TYPE foo gauge\n",
+	"bucket without le":    "# TYPE h histogram\nh_bucket 1\nh_count 1\nh_sum 1\n",
+	"missing +Inf":         "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+	"non-cumulative":       "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_count 3\nh_sum 1\n",
+	"inf mismatches count": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 4\nh_sum 1\n",
+}
+
 func TestParsePromRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"undeclared sample":    "foo 1\n",
-		"bad name":             "# TYPE 9bad counter\n9bad 1\n",
-		"missing value":        "# TYPE foo counter\nfoo\n",
-		"bad value":            "# TYPE foo counter\nfoo xyz\n",
-		"unterminated labels":  "# TYPE foo counter\nfoo{a=\"1\" 2\n",
-		"duplicate TYPE":       "# TYPE foo counter\n# TYPE foo gauge\n",
-		"bucket without le":    "# TYPE h histogram\nh_bucket 1\nh_count 1\nh_sum 1\n",
-		"missing +Inf":         "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"non-cumulative":       "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_count 3\nh_sum 1\n",
-		"inf mismatches count": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 4\nh_sum 1\n",
-	}
-	for name, in := range cases {
+	for name, in := range malformedProm {
 		if _, err := ParseProm(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: parsed without error:\n%s", name, in)
 		}
 	}
 }
 
-func TestParsePromAcceptsValid(t *testing.T) {
-	in := `# HELP h a histogram
+// testdata/metrics.prom is a /metrics page served by `uninet serve` after
+// one /v1/simulate request, cut to two of its stage-histogram series.
+func TestParsePromAcceptsServedPage(t *testing.T) {
+	page, err := os.ReadFile("testdata/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseProm(bytes.NewReader(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fams["service_stage_us"]; f == nil || f.Type != "histogram" {
+		t.Fatalf("service_stage_us family missing or mistyped: %+v", f)
+	}
+}
+
+// FuzzParseProm: `uninet trace` parses a peer's /metrics, so any bytes must
+// come back as families or an error, never a panic. An accepted page
+// holds only declared, well-named families.
+func FuzzParseProm(f *testing.F) {
+	for _, in := range malformedProm {
+		f.Add([]byte(in))
+	}
+	f.Add([]byte(validProm))
+	page, err := os.ReadFile("testdata/metrics.prom")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(page)
+	r := New()
+	r.Counter(`c{x="1"}`).Inc()
+	r.Histogram("h_us", []int64{1, 10}).Observe(5)
+	var buf bytes.Buffer
+	if err := r.Snapshot().WriteProm(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fams, err := ParseProm(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for name, fam := range fams {
+			if fam == nil || fam.Name != name || !validPromName(name) {
+				t.Fatalf("accepted family %q as %+v", name, fam)
+			}
+		}
+	})
+}
+
+const validProm = `# HELP h a histogram
 # TYPE h histogram
 h_bucket{le="1"} 1
 h_bucket{le="+Inf"} 2
@@ -142,7 +195,9 @@ h_count 2
 # TYPE g gauge
 g{node="n1"} 4
 `
-	fams, err := ParseProm(strings.NewReader(in))
+
+func TestParsePromAcceptsValid(t *testing.T) {
+	fams, err := ParseProm(strings.NewReader(validProm))
 	if err != nil {
 		t.Fatal(err)
 	}

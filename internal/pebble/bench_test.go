@@ -2,6 +2,7 @@ package pebble
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -41,5 +42,45 @@ func BenchmarkValidateSharded(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkChunkDecode times the chunk decoder alone: one pass of a
+// ChunkedLog source over BenchmarkStreamingPipeline's protocol (a 3-regular
+// guest of n = 2048 on the d = 4 wrapped butterfly, T = 2, queued builder),
+// archived in memory before the timer starts.
+func BenchmarkChunkDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	guest, err := topology.RandomGuest(rng, 2048, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, err := topology.WrappedButterfly(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunks := NewChunkedLog(ChunkedLogOptions{})
+	defer chunks.Close()
+	if err := StreamQueuedEmbeddingProtocol(guest, host, nil, 2, chunks); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := chunks.Source()
+		steps := 0
+		for {
+			_, err := src.NextStep()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps++
+		}
+		if steps != chunks.Steps() {
+			b.Fatalf("decoded %d steps, want %d", steps, chunks.Steps())
+		}
 	}
 }

@@ -94,12 +94,28 @@ func decodeStepBytes(src []byte, buf []Op) ([]Op, int, error) {
 	for i := range buf {
 		var vals [5]int64
 		for j := range vals {
-			v, n := binary.Varint(src[off:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("pebble: chunk: truncated op %d", i)
+			// One- and two-byte varints, which are most fields, decode
+			// inline; binary.Varint is not inlined. Longer values,
+			// truncations and overflows go to it, so the inputs accepted
+			// and the errors are its own.
+			var ux uint64
+			switch {
+			case off < len(src) && src[off] < 0x80:
+				ux = uint64(src[off])
+				off++
+			case off+1 < len(src) && src[off+1] < 0x80:
+				ux = uint64(src[off]&0x7f) | uint64(src[off+1])<<7
+				off += 2
+			default:
+				v, n := binary.Varint(src[off:])
+				if n <= 0 {
+					return nil, 0, fmt.Errorf("pebble: chunk: truncated op %d", i)
+				}
+				vals[j] = v
+				off += n
+				continue
 			}
-			vals[j] = v
-			off += n
+			vals[j] = int64(ux>>1) ^ -int64(ux&1)
 		}
 		buf[i] = Op{
 			Kind:   OpKind(vals[0]),

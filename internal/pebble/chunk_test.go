@@ -3,10 +3,12 @@ package pebble
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -174,6 +176,90 @@ func referenceStepBytes(dst []byte, ops []Op) []byte {
 		dst = binary.AppendVarint(dst, int64(op.Peer))
 	}
 	return dst
+}
+
+// referenceDecodeStep is the step decoder spelled out with one
+// binary.Varint per field. decodeStepBytes decodes short varints inline
+// and must return this decoder's ops, byte count and error text on every
+// input: a non-canonical varint such as 0x80 0x00 decodes (to 0, in two
+// bytes), so a round trip alone would not notice a wrong decode of one.
+func referenceDecodeStep(src []byte) ([]Op, int, error) {
+	count, k := binary.Uvarint(src)
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("pebble: chunk: bad op count")
+	}
+	if count > uint64(len(src)-k)/minEncodedOpBytes+1 {
+		return nil, 0, fmt.Errorf("pebble: chunk: op count %d exceeds remaining bytes", count)
+	}
+	ops := make([]Op, count)
+	off := k
+	for i := range ops {
+		var vals [5]int64
+		for j := range vals {
+			v, n := binary.Varint(src[off:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("pebble: chunk: truncated op %d", i)
+			}
+			vals[j] = v
+			off += n
+		}
+		ops[i] = Op{Kind: OpKind(vals[0]), Proc: int(vals[1]), Pebble: Type{P: int(vals[2]), T: int(vals[3])}, Peer: int(vals[4])}
+	}
+	return ops, off, nil
+}
+
+// Every one- and two-byte field, at each of an op's five positions, and
+// every truncated prefix of the step around it, must decode as
+// binary.Varint does. Longer fields (three bytes, ten bytes, an overflowing
+// tenth byte, an eleventh byte) go through the same check.
+func TestDecodeStepMatchesVarint(t *testing.T) {
+	var checks int
+	var buf []Op
+	// check decodes src[:k] for every k ≥ from; the shorter prefixes are
+	// the same for every field at a position, and the loop below reaches
+	// each of them once.
+	check := func(src []byte, from int) {
+		for k := from; k <= len(src); k++ {
+			got, gn, gerr := decodeStepBytes(src[:k], buf)
+			want, wn, werr := referenceDecodeStep(src[:k])
+			if errText(gerr) != errText(werr) || gn != wn || !slices.Equal(got, want) {
+				t.Fatalf("% x: decoded %v, %d bytes, error %q; binary.Varint gives %v, %d bytes, error %q",
+					src[:k], got, gn, errText(gerr), want, wn, errText(werr))
+			}
+			if got != nil {
+				buf = got
+			}
+			checks++
+		}
+	}
+	check(nil, 0)
+	fields := [][]byte{
+		{0x80, 0x80, 0x01},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+	}
+	for x := 0; x < 1<<16; x++ {
+		fields = append(fields, []byte{byte(x), byte(x >> 8)})
+	}
+	for x := 0; x < 1<<8; x++ {
+		fields = append(fields, []byte{byte(x)})
+	}
+	var src []byte
+	for pos := 0; pos < 5; pos++ {
+		for _, field := range fields {
+			src = append(src[:0], 1)
+			for j := 0; j < pos; j++ {
+				src = append(src, 0x02)
+			}
+			src = append(src, field...)
+			for j := pos + 1; j < 5; j++ {
+				src = append(src, 0x04)
+			}
+			check(src, 1+pos)
+		}
+	}
+	t.Logf("%d inputs decoded alike", checks)
 }
 
 // FuzzStepCodec checks both directions: any encodable step round-trips, and

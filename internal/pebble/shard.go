@@ -41,8 +41,10 @@ import (
 // StreamValidator, so this file holds the only implementation of the move
 // rules. The validator keeps only the "lite" state — possession bitsets
 // plus a generated-pebble bitset — not State's holder and generator lists.
-// That is what makes n = 10⁶ fit in RAM: memory is m·(T+1)·n/8 bytes of
-// bitsets, independent of the number of operations. The oracle equivalence
+// That is what makes n = 10⁶ fit in RAM: memory is m·T·n/8 bytes of
+// bitsets, independent of the number of operations. The t = 0 pebbles are
+// not stored: every processor holds them from the start and possession
+// never ends, so their bits would be constant. The oracle equivalence
 // suite checks the rules against an independent map-based engine.
 
 // StreamStats summarizes a successfully validated stream.
@@ -132,8 +134,7 @@ type recvRec struct {
 type shardedValidator struct {
 	sp      Spec
 	n, m, T int
-	numIDs  int
-	words   int
+	words   int // per contains row: T·n bits, for the ids n … (T+1)·n−1
 	win     int // max host steps per barrier round
 
 	contains  []uint64 // m rows × words, owner-partitioned writes
@@ -180,7 +181,7 @@ type shardState struct {
 	recvs []recvRec
 	sends []int32
 
-	generated []uint64 // numIDs bits of "was generated" by this shard
+	generated []uint64 // (T+1)·n bits of "was generated" by this shard
 
 	genCount, sendCount, recvCount int64
 
@@ -231,9 +232,12 @@ func checkSpec(sp Spec) error {
 // maxDecodedSpecBytes is the decoder ceiling: the most validation state a
 // decoded spec may need. Validating n guests on m hosts to horizon T takes
 // (T+1)·n pebble ids, and each id costs m/8 bytes of possession bits plus
-// 16 bytes of State's holder and generator tables. 1.25 GiB admits every
-// spec the repository builds — bigsim's largest, n = 10⁶ on m = 160 at
-// T = 2, needs 108 MB, and the out-of-core ladder's n = 10⁷ needs 1.08 GB.
+// 16 bytes of State's holder and generator tables. The ceiling prices
+// every id so, though the validator stores no possession bits for the n
+// ids of t = 0, which every processor holds from the start; it is
+// conservative by m·n/8 bytes. 1.25 GiB admits every spec the repository
+// builds — bigsim's largest, n = 10⁶ on m = 160 at T = 2, counts 108 MB,
+// and the out-of-core ladder's n = 10⁷ counts 1.08 GB.
 const maxDecodedSpecBytes = 5 << 28
 
 // checkDecodedSpec rejects a decoded spec of n guests, m hosts and horizon
@@ -307,16 +311,14 @@ func ValidateSharded(sp Spec, src StepSource, opts ShardedOptions) (*StreamStats
 // shard, so every op it sees is out of range.
 func newShardedValidator(sp Spec, shards, window int) *shardedValidator {
 	n, m := sp.Guest.N(), sp.Host.N()
-	numIDs := (sp.T + 1) * n
-	words := (numIDs + 63) / 64
+	words := (sp.T*n + 63) / 64
 	v := &shardedValidator{
-		sp:     sp,
-		n:      n,
-		m:      m,
-		T:      sp.T,
-		numIDs: numIDs,
-		words:  words,
-		win:    window,
+		sp:    sp,
+		n:     n,
+		m:     m,
+		T:     sp.T,
+		words: words,
+		win:   window,
 
 		contains:  make([]uint64, m*words),
 		busyStamp: make([]int32, m),
@@ -338,19 +340,9 @@ func newShardedValidator(sp Spec, shards, window int) *shardedValidator {
 		for q := lo; q < hi; q++ {
 			v.shardOf[q] = int32(s)
 		}
-		v.sh[s].generated = make([]uint64, words)
+		v.sh[s].generated = make([]uint64, ((sp.T+1)*n+63)/64)
 		// An owned processor registers at most one send per step.
 		v.sh[s].sends = make([]int32, 0, (hi-lo)*window)
-	}
-	// Start configuration: every processor holds all (P_i, 0) pebbles.
-	for q := 0; q < m; q++ {
-		row := v.contains[q*words : (q+1)*words]
-		for w := 0; w < n/64; w++ {
-			row[w] = ^uint64(0)
-		}
-		if r := uint(n) & 63; r != 0 {
-			row[n/64] |= 1<<r - 1
-		}
 	}
 	return v
 }
@@ -434,6 +426,14 @@ func (sv *StreamValidator) AppendStep(ops []Op) error {
 
 // Steps reports the number of host steps validated so far.
 func (sv *StreamValidator) Steps() int { return sv.stats.HostSteps }
+
+// Holds reports whether processor q holds pebble pb after the steps
+// validated so far. An out-of-range processor or pebble holds nothing.
+// After a rejected step the answer may reflect part of that step.
+func (sv *StreamValidator) Holds(q int, pb Type) bool {
+	id, ok := sv.v.idOf(pb)
+	return ok && q >= 0 && q < sv.v.m && sv.v.bit(q, id)
+}
 
 // Finish runs the final-generator check and returns the stream stats. The
 // validator is spent afterwards.
@@ -580,11 +580,22 @@ func (v *shardedValidator) windowVerdict() error {
 	return fmt.Errorf("pebble: host step %d: %w", best.step, best.err)
 }
 
+// bit reports whether processor q holds pebble id. The start
+// configuration is implicit: every processor holds every (P_i, 0), id < n,
+// and a row stores only the ids from n on.
 func (v *shardedValidator) bit(q, id int) bool {
+	if id < v.n {
+		return true
+	}
+	id -= v.n
 	return v.contains[q*v.words+id>>6]&(1<<(uint(id)&63)) != 0
 }
 
 func (v *shardedValidator) setBit(q, id int) {
+	if id < v.n {
+		return
+	}
+	id -= v.n
 	v.contains[q*v.words+id>>6] |= 1 << (uint(id) & 63)
 }
 

@@ -93,10 +93,7 @@ func NewState(guest, host *graph.Graph, T int) *State {
 func (st *State) HostStep() int { return st.sv.Steps() }
 
 // Contains reports whether processor q holds pebble ty.
-func (st *State) Contains(q int, ty Type) bool {
-	id, ok := st.sv.v.idOf(ty)
-	return ok && st.sv.v.bit(q, id)
-}
+func (st *State) Contains(q int, ty Type) bool { return st.sv.Holds(q, ty) }
 
 // hasGenerator reports whether some processor generated ty.
 func (st *State) hasGenerator(ty Type) bool {
@@ -250,14 +247,18 @@ func (st *State) GuestsOnProcessor(j, t int) []int {
 	return out
 }
 
-// guestsOnCount is |GuestsOnProcessor(j, t)| without the allocation: a
-// popcount over the time-t span of j's bitset row.
+// guestsOnCount is |GuestsOnProcessor(j, t)| without the allocation: n
+// for t = 0, which every processor holds throughout, and otherwise a
+// popcount over the time-t span of j's bitset row, whose ids start at n.
 func (st *State) guestsOnCount(j, t int) int {
 	if t < 0 || t > st.T {
 		return 0
 	}
+	if t == 0 {
+		return st.n
+	}
 	v := st.sv.v
-	lo, hi := t*st.n, (t+1)*st.n
+	lo, hi := (t-1)*st.n, t*st.n
 	row := v.contains[j*v.words : (j+1)*v.words]
 	count := 0
 	for w := lo >> 6; w <= (hi-1)>>6; w++ {

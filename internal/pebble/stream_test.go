@@ -375,3 +375,95 @@ func TestMinimizeStreamMatchesProtocol(t *testing.T) {
 		t.Fatal("expected the duplicated step to produce drops")
 	}
 }
+
+// Holds reads possession off the validator's rows, which store no t = 0
+// pebbles: every processor holds those from the start. After every step of
+// random play it must agree with the map oracle and State.Contains on the
+// whole probe box, t = 0 pebbles and out-of-range processors, guests and
+// steps included, and guestsOnCount(j, 0) must stay n.
+func TestStreamValidatorHolds(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, T := 5+rng.Intn(5), 1+int(seed%3)
+		guest, err := topology.RandomGuest(rng, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := topology.Torus(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := RandomProtocol(guest, host, T, rng, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, err := NewStreamValidator(pr.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, or := NewState(guest, host, T), newOracleState(guest, host, T)
+		m := host.N()
+		check := func(step int) {
+			t.Helper()
+			for q := -1; q <= m; q++ {
+				for tt := -1; tt <= T+1; tt++ {
+					for i := -1; i <= n; i++ {
+						pb := Type{P: i, T: tt}
+						want := q >= 0 && q < m && or.Contains(q, pb)
+						if got := sv.Holds(q, pb); got != want {
+							t.Fatalf("seed %d step %d: Holds(%d, %v) = %v, oracle %v", seed, step, q, pb, got, want)
+						}
+						if got := st.Contains(q, pb); got != want {
+							t.Fatalf("seed %d step %d: Contains(%d, %v) = %v, oracle %v", seed, step, q, pb, got, want)
+						}
+					}
+				}
+				if q < 0 || q >= m {
+					continue
+				}
+				if got := st.guestsOnCount(q, 0); got != n {
+					t.Fatalf("seed %d step %d: guestsOnCount(%d, 0) = %d, want n = %d", seed, step, q, got, n)
+				}
+				for tt := 1; tt <= T; tt++ {
+					if got, want := st.guestsOnCount(q, tt), len(or.GuestsOnProcessor(q, tt)); got != want {
+						t.Fatalf("seed %d step %d: guestsOnCount(%d, %d) = %d, oracle %d", seed, step, q, tt, got, want)
+					}
+				}
+			}
+		}
+		check(0)
+		for k, ops := range pr.Steps {
+			if err := sv.AppendStep(ops); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.ApplyStep(ops); err != nil {
+				t.Fatal(err)
+			}
+			if err := or.ApplyStep(ops); err != nil {
+				t.Fatal(err)
+			}
+			check(k + 1)
+		}
+	}
+
+	// At T = 0 the rows are empty and every answer is the start
+	// configuration's.
+	guest, err := topology.Ring(70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := topology.Torus(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewStreamValidator(Spec{Guest: guest, Host: host, T: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sv.Holds(8, Type{P: 69, T: 0}) || sv.Holds(9, Type{P: 0, T: 0}) || sv.Holds(0, Type{P: 0, T: 1}) || sv.Holds(0, Type{P: 70, T: 0}) {
+		t.Fatal("T = 0: Holds must be true exactly for in-range processors and (P_i, 0)")
+	}
+	if got := NewState(guest, host, 0).guestsOnCount(3, 0); got != 70 {
+		t.Fatalf("T = 0: guestsOnCount(3, 0) = %d, want 70", got)
+	}
+}

@@ -7,10 +7,17 @@ import (
 )
 
 // Machine is the red-blue memory state of one replay: per-processor red
-// slot tables (dense, PR 5 idiom — bitset membership plus a flat slot array
-// scanned linearly, zero-alloc warm) and the shared blue bitset. Pebble
-// (P_i, t) maps to dense id t·n+i, exactly the streaming validator's
-// layout.
+// slot tables (flat slot arrays scanned linearly, zero-alloc warm) and the
+// shared blue bitset. Pebble (P_i, t) maps to dense id t·n+i, exactly the
+// streaming validator's layout.
+//
+// The slot tables are the red sets: processor q's red memory is its
+// slotIDs row, at most R entries. Whether q has had a pebble in red before
+// (which makes a load a reload, and is the only case in which the pebble
+// can still be resident) is derived, not stored: for t ≥ 1 it is the
+// embedded validator's possession (see CostedValidator.AppendStep), and
+// only the inputs (P_i, 0), which every processor holds from the start,
+// keep a history table, inputSeen, of m·n bits.
 //
 // Within one host-step op every referenced pebble is pinned (pin stamp =
 // the op's tick) so the policy can never evict an operand of the op that is
@@ -18,13 +25,11 @@ import (
 // fails with a graceful capacity error instead of thrashing.
 type Machine struct {
 	n, m, T int
-	numIDs  int
-	words   int
+	inWords int // per inputSeen row: n bits
 	r       int // 0 = unbounded
 
-	red     []uint64 // m×words: red residency bits
-	blue    []uint64 // words: blue residency bits (shared)
-	everRed []uint64 // m×words: cold-vs-reload classification
+	blue      []uint64 // (T+1)·n bits: blue residency (shared)
+	inputSeen []uint64 // m×inWords: q has had input (P_i, 0) in red
 
 	slotIDs  [][]int32 // per proc: resident ids, swap-remove order
 	slotLast [][]int64 // per proc: last-touch tick, slot-parallel
@@ -50,22 +55,19 @@ func NewMachine(sp pebble.Spec, model CostModel, pol Policy) (*Machine, error) {
 		return nil, fmt.Errorf("redblue: nil eviction policy")
 	}
 	n, m := sp.Guest.N(), sp.Host.N()
-	numIDs := (sp.T + 1) * n
-	words := (numIDs + 63) / 64
+	inWords := (n + 63) / 64
 	ma := &Machine{
 		n: n, m: m, T: sp.T,
-		numIDs:   numIDs,
-		words:    words,
-		r:        model.R,
-		red:      make([]uint64, m*words),
-		blue:     make([]uint64, words),
-		everRed:  make([]uint64, m*words),
-		slotIDs:  make([][]int32, m),
-		slotLast: make([][]int64, m),
-		slotPin:  make([][]int64, m),
-		computeQ: make([]int64, m),
-		ioQ:      make([]int64, m),
-		pol:      pol,
+		inWords:   inWords,
+		r:         model.R,
+		blue:      make([]uint64, ((sp.T+1)*n+63)/64),
+		inputSeen: make([]uint64, m*inWords),
+		slotIDs:   make([][]int32, m),
+		slotLast:  make([][]int64, m),
+		slotPin:   make([][]int64, m),
+		computeQ:  make([]int64, m),
+		ioQ:       make([]int64, m),
+		pol:       pol,
 	}
 	capHint := model.R
 	if capHint == 0 {
@@ -86,18 +88,6 @@ func NewMachine(sp pebble.Spec, model CostModel, pol Policy) (*Machine, error) {
 	return ma, nil
 }
 
-func (ma *Machine) redBit(q int, id int32) bool {
-	return ma.red[q*ma.words+int(id)>>6]&(1<<(uint(id)&63)) != 0
-}
-
-func (ma *Machine) setRed(q int, id int32) {
-	ma.red[q*ma.words+int(id)>>6] |= 1 << (uint(id) & 63)
-}
-
-func (ma *Machine) clearRed(q int, id int32) {
-	ma.red[q*ma.words+int(id)>>6] &^= 1 << (uint(id) & 63)
-}
-
 func (ma *Machine) blueBit(id int32) bool {
 	return ma.blue[int(id)>>6]&(1<<(uint(id)&63)) != 0
 }
@@ -116,13 +106,22 @@ func (ma *Machine) slotOf(q int, id int32) int {
 // access makes id resident in q's red memory at tick, charging a blue→red
 // load when a read misses (write misses allocate a slot without a load —
 // the value is freshly computed). The slot is pinned for the current op.
-func (ma *Machine) access(q int, id int32, write bool, tick int64) error {
-	if ma.redBit(q, id) {
-		i := ma.slotOf(q, id)
-		ma.slotLast[q][i] = tick
-		ma.slotPin[q][i] = tick
-		ma.pol.Touched(q, id, tick)
-		return nil
+// held says whether q held id before this op; for t ≥ 1 that is exactly
+// whether q has had id in red before, since every touch needs q to hold
+// the pebble or gives it to q. Only then is the slot table scanned: a
+// pebble never touched cannot be resident.
+func (ma *Machine) access(q int, id int32, write, held bool, tick int64) error {
+	input := int(id) < ma.n
+	if input {
+		held = ma.inputSeen[q*ma.inWords+int(id)>>6]&(1<<(uint(id)&63)) != 0
+	}
+	if held {
+		if i := ma.slotOf(q, id); i >= 0 {
+			ma.slotLast[q][i] = tick
+			ma.slotPin[q][i] = tick
+			ma.pol.Touched(q, id, tick)
+			return nil
+		}
 	}
 	if !write {
 		if !ma.blueBit(id) {
@@ -132,7 +131,7 @@ func (ma *Machine) access(q int, id int32, write bool, tick int64) error {
 		}
 		ma.loads++
 		ma.ioQ[q]++
-		if ma.everRed[q*ma.words+int(id)>>6]&(1<<(uint(id)&63)) != 0 {
+		if held {
 			ma.reloads++
 		} else {
 			ma.coldLoads++
@@ -143,8 +142,9 @@ func (ma *Machine) access(q int, id int32, write bool, tick int64) error {
 			return err
 		}
 	}
-	ma.setRed(q, id)
-	ma.everRed[q*ma.words+int(id)>>6] |= 1 << (uint(id) & 63)
+	if input {
+		ma.inputSeen[q*ma.inWords+int(id)>>6] |= 1 << (uint(id) & 63)
+	}
 	ma.slotIDs[q] = append(ma.slotIDs[q], id)
 	ma.slotLast[q] = append(ma.slotLast[q], tick)
 	ma.slotPin[q] = append(ma.slotPin[q], tick)
@@ -163,7 +163,6 @@ func (ma *Machine) evictOne(q int, tick int64) error {
 		return fmt.Errorf("redblue: red capacity %d too small: processor %d needs more than %d resident pebbles in one op",
 			ma.r, q, ma.r)
 	}
-	ma.clearRed(q, ma.slotIDs[q][i])
 	last := len(ma.slotIDs[q]) - 1
 	ma.slotIDs[q][i] = ma.slotIDs[q][last]
 	ma.slotLast[q][i] = ma.slotLast[q][last]

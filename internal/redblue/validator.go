@@ -55,6 +55,11 @@ type CostedValidator struct {
 	costs Costs
 	opts  Options
 
+	// held[k] records, for the current step's op k, whether its processor
+	// held the op's pebble before the step; only Generate and Receive ops
+	// read it. Capacity m: a valid step has at most one op per processor.
+	held []bool
+
 	stepIO *obs.Histogram
 }
 
@@ -69,7 +74,8 @@ func NewCostedValidator(sp pebble.Spec, model CostModel, pol Policy, opts Option
 	if err != nil {
 		return nil, err
 	}
-	cv := &CostedValidator{sv: sv, ma: ma, sp: sp, model: model, pol: pol, opts: opts}
+	cv := &CostedValidator{sv: sv, ma: ma, sp: sp, model: model, pol: pol, opts: opts,
+		held: make([]bool, 0, sp.Host.N())}
 	if opts.Obs != nil {
 		cv.stepIO = opts.Obs.Histogram("redblue.step_io",
 			[]int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
@@ -79,41 +85,54 @@ func NewCostedValidator(sp pebble.Spec, model CostModel, pol Policy, opts Option
 
 // AppendStep validates one host step and charges its red-blue costs. The
 // ops slice is only read during the call.
+//
+// A processor has had a pebble of step t ≥ 1 in red exactly when it holds
+// it: it can only get one by a Generate or a Receive, the machine touches
+// the pebble in both, every touch needs the processor to hold the pebble or
+// gives it to it, and holding never ends. So the reads of a Send and of a
+// Generate's predecessors, which validation guarantees are held, count as
+// had before, and a Receive's pebble or a Generate's output counts as had
+// before when the processor held it before the step, which is read off the
+// validator before it applies the step. A processor does one op per step,
+// so that is also before the op.
 func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
+	cv.held = cv.held[:0]
+	for _, op := range ops {
+		cv.held = append(cv.held, (op.Kind == pebble.Generate || op.Kind == pebble.Receive) &&
+			cv.sv.Holds(op.Proc, op.Pebble))
+	}
 	if err := cv.sv.AppendStep(ops); err != nil {
 		return err
 	}
 	ioBefore := cv.ma.loads + cv.ma.stores
-	for _, op := range ops {
+	n := cv.sp.Guest.N()
+	for k, op := range ops {
 		cv.tick++
 		tick := cv.tick
+		id := int32(op.Pebble.T*n + op.Pebble.P)
 		switch op.Kind {
 		case pebble.Generate:
-			n := cv.sp.Guest.N()
 			base := (op.Pebble.T - 1) * n
-			if err := cv.ma.access(op.Proc, int32(base+op.Pebble.P), false, tick); err != nil {
+			if err := cv.ma.access(op.Proc, int32(base+op.Pebble.P), false, true, tick); err != nil {
 				return err
 			}
 			for _, j := range cv.sp.Guest.Neighbors(op.Pebble.P) {
-				if err := cv.ma.access(op.Proc, int32(base+j), false, tick); err != nil {
+				if err := cv.ma.access(op.Proc, int32(base+j), false, true, tick); err != nil {
 					return err
 				}
 			}
-			id := int32(op.Pebble.T*n + op.Pebble.P)
-			if err := cv.ma.access(op.Proc, id, true, tick); err != nil {
+			if err := cv.ma.access(op.Proc, id, true, cv.held[k], tick); err != nil {
 				return err
 			}
 			cv.ma.store(op.Proc, id)
 			cv.ma.computeQ[op.Proc]++
 			cv.costs.Compute++
 		case pebble.Send:
-			id := int32(op.Pebble.T*cv.sp.Guest.N() + op.Pebble.P)
-			if err := cv.ma.access(op.Proc, id, false, tick); err != nil {
+			if err := cv.ma.access(op.Proc, id, false, true, tick); err != nil {
 				return err
 			}
 		case pebble.Receive:
-			id := int32(op.Pebble.T*cv.sp.Guest.N() + op.Pebble.P)
-			if err := cv.ma.access(op.Proc, id, false, tick); err != nil {
+			if err := cv.ma.access(op.Proc, id, false, cv.held[k], tick); err != nil {
 				return err
 			}
 		}
