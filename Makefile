@@ -40,9 +40,11 @@ perfbench-test:
 # the three decoders (graph JSON, protocol JSON, UPB1 binary), the
 # X-Uninet-Trace header parser and the Prometheus text parser that
 # `uninet trace` runs on a peer's /metrics for 10 s each: malformed input
-# must be an error, never a panic or an out-of-memory crash. Last, the
+# must be an error, never a panic or an out-of-memory crash. Then the
 # chunk step codec for 10 s: decoded steps must re-encode to the reference
-# encoder's bytes.
+# encoder's bytes. Last, the routers' packet loop for 10 s: on small
+# connected graphs it must match the map-based reference loop result for
+# result, error for error and hop call for hop call.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
@@ -51,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpanContext$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStepCodec$$' -fuzztime 10s ./internal/pebble
+	$(GO) test -run '^$$' -fuzz '^FuzzStepPackets$$' -fuzztime 10s ./internal/routing
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -87,27 +87,32 @@ func (r *DimensionOrderRouter) remaining(pk *packet) int {
 }
 
 // Route implements Router. The graph must contain the mesh/torus edges the
-// router assumes (extra edges are ignored).
+// router assumes (extra edges are ignored); a missing one is an error.
 func (r *DimensionOrderRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
+	rules, err := r.rules(g, p)
+	if err != nil {
+		return Result{}, err
+	}
+	return stepPackets(g, p, r.Mode, rules)
+}
+
+// rules checks p against g and returns the X–Y step rules.
+func (r *DimensionOrderRouter) rules(g *graph.Graph, p *Problem) (stepRules, error) {
 	if r.N*r.N != p.N || g.N() != p.N {
-		return Result{}, fmt.Errorf("routing: dimension-order needs N²=%d nodes, graph %d, problem %d", r.N*r.N, g.N(), p.N)
+		return stepRules{}, fmt.Errorf("routing: dimension-order needs N²=%d nodes, graph %d, problem %d", r.N*r.N, g.N(), p.N)
+	}
+	if err := checkPairs(p.N, p.Pairs); err != nil {
+		return stepRules{}, err
 	}
 	maxStep := r.MaxStep
 	if maxStep == 0 {
 		maxStep = 64 * (2*r.N + 1) * (p.H() + 1)
 	}
-	return stepPackets(p, r.Mode, maxStep,
-		func(pk *packet) (int, error) {
-			v := r.nextHop(pk.at, pk.dst)
-			if v == pk.at {
-				return 0, fmt.Errorf("routing: stuck packet %d at %d", pk.id, pk.at)
-			}
-			if !g.HasEdge(pk.at, v) {
-				return 0, fmt.Errorf("routing: graph missing mesh edge {%d,%d}", pk.at, v)
-			}
-			return v, nil
-		},
-		r.remaining)
+	return stepRules{
+		maxStep: maxStep,
+		hop:     func(pk *packet) (int, error) { return r.nextHop(pk.at, pk.dst), nil },
+		dist:    r.remaining,
+	}, nil
 }
 
 // MeasureRoute estimates route_G(h) of §2: the number of steps the given

@@ -13,7 +13,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"universalnet/internal/cache"
@@ -34,29 +34,33 @@ type Problem struct {
 
 // NewProblem validates vertex ranges and returns a Problem.
 func NewProblem(n int, pairs []Pair) (*Problem, error) {
-	for _, p := range pairs {
-		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
-			return nil, fmt.Errorf("routing: pair %v out of range [0,%d)", p, n)
-		}
+	if err := checkPairs(n, pairs); err != nil {
+		return nil, err
 	}
 	return &Problem{N: n, Pairs: append([]Pair(nil), pairs...)}, nil
 }
 
+// checkPairs rejects the first pair with an endpoint outside [0, n).
+func checkPairs(n int, pairs []Pair) error {
+	for _, p := range pairs {
+		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+			return fmt.Errorf("routing: pair %v out of range [0,%d)", p, n)
+		}
+	}
+	return nil
+}
+
 // H returns the h of the h–h problem: the largest number of packets any
-// single node must send or receive.
+// single node must send or receive. Every pair must lie in [0, N), as
+// NewProblem checks and the routers check before calling H.
 func (p *Problem) H() int {
-	src := make(map[int]int)
-	dst := make(map[int]int)
+	count := make([]int, 2*p.N)
+	src, dst := count[:p.N], count[p.N:]
 	h := 0
 	for _, pr := range p.Pairs {
 		src[pr.Src]++
 		dst[pr.Dst]++
-		if src[pr.Src] > h {
-			h = src[pr.Src]
-		}
-		if dst[pr.Dst] > h {
-			h = dst[pr.Dst]
-		}
+		h = max(h, src[pr.Src], dst[pr.Dst])
 	}
 	return h
 }
@@ -233,22 +237,23 @@ func RandomNextHop(g *graph.Graph, at, dst int, distToDst []int, rng *rand.Rand)
 	return opts[rng.Intn(len(opts))]
 }
 
-// distanceCache caches BFS distance vectors keyed by destination.
+// distanceCache caches BFS distance vectors, one row per destination,
+// computed on first use.
 type distanceCache struct {
 	g    *graph.Graph
-	dist map[int][]int
+	rows [][]int
 }
 
 func newDistanceCache(g *graph.Graph) *distanceCache {
-	return &distanceCache{g: g, dist: make(map[int][]int)}
+	return &distanceCache{g: g, rows: make([][]int, g.N())}
 }
 
 func (c *distanceCache) to(dst int) []int {
-	if d, ok := c.dist[dst]; ok {
+	if d := c.rows[dst]; d != nil {
 		return d
 	}
 	d := c.g.BFS(dst)
-	c.dist[dst] = d
+	c.rows[dst] = d
 	return d
 }
 
@@ -260,6 +265,9 @@ func (c *distanceCache) to(dst int) []int {
 func LowerBoundSteps(g *graph.Graph, p *Problem) (int, error) {
 	if g.N() != p.N {
 		return 0, fmt.Errorf("routing: size mismatch")
+	}
+	if err := checkPairs(p.N, p.Pairs); err != nil {
+		return 0, err
 	}
 	cache := newDistanceCache(g)
 	maxDist := 0
@@ -284,12 +292,23 @@ func LowerBoundSteps(g *graph.Graph, p *Problem) (int, error) {
 	return maxDist, nil
 }
 
-// packet is the in-flight representation.
+// packet is the in-flight representation. left caches the distance to go
+// and next the node hop chose this step.
 type packet struct {
 	id   int
 	at   int
 	dst  int
 	hops int
+	left int
+	next int
+}
+
+// stepRules is what a packet-stepping router hands stepPackets: its step
+// bound, its next-hop rule and its distance to go.
+type stepRules struct {
+	maxStep int
+	hop     func(pk *packet) (int, error)
+	dist    func(pk *packet) int
 }
 
 // GreedyRouter forwards every packet along shortest paths, arbitrating link
@@ -313,8 +332,26 @@ func (r *GreedyRouter) SetObs(reg *obs.Registry) { r.Obs = reg }
 
 // Route implements Router.
 func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
+	rules, err := r.rules(g, p)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := stepPackets(g, p, r.Mode, rules)
+	if err != nil {
+		return res, err
+	}
+	observePhase(r.Obs, "greedy", &res)
+	return res, nil
+}
+
+// rules checks p against g and returns the greedy step rules: a fresh
+// seeded policy over one BFS row per destination.
+func (r *GreedyRouter) rules(g *graph.Graph, p *Problem) (stepRules, error) {
 	if g.N() != p.N {
-		return Result{}, fmt.Errorf("routing: graph has %d nodes, problem %d", g.N(), p.N)
+		return stepRules{}, fmt.Errorf("routing: graph has %d nodes, problem %d", g.N(), p.N)
+	}
+	if err := checkPairs(p.N, p.Pairs); err != nil {
+		return stepRules{}, err
 	}
 	policy := r.Policy
 	if policy == nil {
@@ -330,7 +367,7 @@ func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 		}
 		d := cache.to(pr.Dst)[pr.Src]
 		if d < 0 {
-			return Result{}, fmt.Errorf("routing: destination %d unreachable from %d", pr.Dst, pr.Src)
+			return stepRules{}, fmt.Errorf("routing: destination %d unreachable from %d", pr.Dst, pr.Src)
 		}
 		if d > diam {
 			diam = d
@@ -343,110 +380,127 @@ func (r *GreedyRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 			maxStep = 1024
 		}
 	}
-	res, err := stepPackets(p, r.Mode, maxStep,
-		func(pk *packet) (int, error) {
+	return stepRules{
+		maxStep: maxStep,
+		hop: func(pk *packet) (int, error) {
 			v := policy(g, pk.at, pk.dst, cache.to(pk.dst), rng)
 			if v < 0 {
 				return 0, fmt.Errorf("routing: policy returned no progress from %d toward %d", pk.at, pk.dst)
 			}
 			return v, nil
 		},
-		func(pk *packet) int { return cache.to(pk.dst)[pk.at] })
-	if err != nil {
-		return res, err
-	}
-	observePhase(r.Obs, "greedy", &res)
-	return res, nil
+		dist: func(pk *packet) int { return cache.to(pk.dst)[pk.at] },
+	}, nil
 }
 
-// link is the directed edge u→v a packet moves along.
-type link struct{ u, v int }
+// edgeSlot is one directed edge's winner in stepPackets: the index in the
+// live slice of the packet that holds the edge, valid in the step stamped.
+type edgeSlot struct{ stamp, winner int }
 
-// stepPackets routes p in synchronous store-and-forward steps; it is the
-// step loop of every packet-stepping router. Each step, hop names the next
-// node of every undelivered packet (in packet order, so a seeded policy
-// draws deterministically), and each directed link carries one packet: the
-// one with the most distance left by dist, the lower packet id on ties.
-// Under SinglePort the winners move in ascending (u, v) order while each
-// node sends at most once and receives at most once. Routing fails after
-// maxStep steps.
-func stepPackets(p *Problem, mode PortMode, maxStep int,
-	hop func(pk *packet) (int, error), dist func(pk *packet) int) (Result, error) {
+// nodeSlot is one node's single-port admission and queue count in
+// stepPackets, each field valid in the step it stamps.
+type nodeSlot struct{ sent, received, counted, queue int }
+
+// stepPackets routes p on g in synchronous store-and-forward steps; it is
+// the step loop of every packet-stepping router. Its contract:
+//   - each step, rules.hop names the next node of every undelivered packet,
+//     called once per packet in packet order, so a seeded policy draws
+//     deterministically; a node that is not a neighbor in g is an error;
+//   - each directed edge carries one packet: the one with the most distance
+//     left by rules.dist, the lower packet id on ties;
+//   - under SinglePort the winners move in ascending (u, v) order while each
+//     node sends at most once and receives at most once;
+//   - Steps counts the steps until the last delivery, Delivered every
+//     packet (self-pairs without a step), TotalHops the moves of delivered
+//     packets and MaxQueue the most undelivered packets at one node after
+//     any step;
+//   - routing fails after rules.maxStep steps.
+//
+// A packet's distance is taken when it is created and after each move, so
+// rules.dist must depend on (at, dst) alone. Arbitration runs on dense
+// arrays indexed by directed-edge position in g's sorted adjacency (u's
+// offset plus v's index in Neighbors(u)), so edge position order is (u, v)
+// order; entries are stamped with the step instead of being cleared.
+// Every pair must lie in [0, g.N()).
+func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Result, error) {
 	var res Result
-	var live []*packet
+	live := make([]packet, 0, len(p.Pairs))
 	for i, pr := range p.Pairs {
 		if pr.Src == pr.Dst {
 			res.Delivered++
 			continue
 		}
-		live = append(live, &packet{id: i, at: pr.Src, dst: pr.Dst})
+		live = append(live, packet{id: i, at: pr.Src, dst: pr.Dst})
+		pk := &live[len(live)-1]
+		pk.left = rules.dist(pk)
 	}
-	cand := make(map[link]*packet) // one winner per directed link
-	var links []link
-	sendUsed := make(map[int]bool)
-	recvUsed := make(map[int]bool)
-	queues := make(map[int]int) // node → queued packet count, for stats
+	n := g.N()
+	off := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		off[u+1] = off[u] + g.Degree(u)
+	}
+	edges := make([]edgeSlot, off[n])
+	nodes := make([]nodeSlot, n)
+	var used []int // positions of the edges with a winner this step
 	for step := 0; len(live) > 0; step++ {
-		if step >= maxStep {
-			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", maxStep, len(live))
+		if step >= rules.maxStep {
+			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", rules.maxStep, len(live))
 		}
-		clear(cand)
-		for _, pk := range live {
-			v, err := hop(pk)
+		stamp := step + 1
+		used = used[:0]
+		for i := range live {
+			pk := &live[i]
+			v, err := rules.hop(pk)
 			if err != nil {
 				return res, err
 			}
-			k := link{pk.at, v}
-			cur, ok := cand[k]
+			j, ok := slices.BinarySearch(g.Neighbors(pk.at), v)
 			if !ok {
-				cand[k] = pk
+				return res, fmt.Errorf("routing: packet %d hops from %d to %d, which is not a neighbor", pk.id, pk.at, v)
+			}
+			pk.next = v
+			pos := off[pk.at] + j
+			e := &edges[pos]
+			if e.stamp != stamp {
+				*e = edgeSlot{stamp: stamp, winner: i}
+				used = append(used, pos)
 				continue
 			}
-			if d, dc := dist(pk), dist(cur); d > dc || d == dc && pk.id < cur.id {
-				cand[k] = pk
+			if cur := &live[e.winner]; pk.left > cur.left || pk.left == cur.left && pk.id < cur.id {
+				e.winner = i
 			}
 		}
-		// Deterministic iteration order over winners.
-		links = links[:0]
-		for k := range cand {
-			links = append(links, k)
+		if mode == SinglePort {
+			slices.Sort(used)
 		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i].u != links[j].u {
-				return links[i].u < links[j].u
-			}
-			return links[i].v < links[j].v
-		})
-		clear(sendUsed)
-		clear(recvUsed)
-		for _, k := range links {
+		for _, e := range used {
+			pk := &live[edges[e].winner]
 			if mode == SinglePort {
-				if sendUsed[k.u] || recvUsed[k.v] {
+				if nodes[pk.at].sent == stamp || nodes[pk.next].received == stamp {
 					continue
 				}
-				sendUsed[k.u] = true
-				recvUsed[k.v] = true
+				nodes[pk.at].sent = stamp
+				nodes[pk.next].received = stamp
 			}
-			pk := cand[k]
-			pk.at = k.v
+			pk.at = pk.next
 			pk.hops++
+			pk.left = rules.dist(pk)
 		}
 		// Deliveries and stats.
 		next := live[:0]
-		clear(queues)
 		for _, pk := range live {
 			if pk.at == pk.dst {
 				res.Delivered++
 				res.TotalHops += pk.hops
 				continue
 			}
-			queues[pk.at]++
-			next = append(next, pk)
-		}
-		for _, q := range queues {
-			if q > res.MaxQueue {
-				res.MaxQueue = q
+			nd := &nodes[pk.at]
+			if nd.counted != stamp {
+				nd.counted, nd.queue = stamp, 0
 			}
+			nd.queue++
+			res.MaxQueue = max(res.MaxQueue, nd.queue)
+			next = append(next, pk)
 		}
 		live = next
 		res.Steps = step + 1
@@ -578,21 +632,21 @@ func (r *CachedRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 }
 
 // problemKey folds the graph identity and the sorted pair multiset into a
-// string key.
+// string key. Each pair is packed as Src<<32|Dst, so one integer sort puts
+// in-range pairs in (Src, Dst) order; the key only has to be canonical, and
+// its bytes never leave the cache.
 func problemKey(g *graph.Graph, p *Problem) string {
-	pairs := append([]Pair(nil), p.Pairs...)
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].Src != pairs[b].Src {
-			return pairs[a].Src < pairs[b].Src
-		}
-		return pairs[a].Dst < pairs[b].Dst
-	})
+	packed := make([]uint64, len(p.Pairs))
+	for i, pr := range p.Pairs {
+		packed[i] = uint64(pr.Src)<<32 | uint64(uint32(pr.Dst))
+	}
+	slices.Sort(packed)
 	var b []byte
 	b = appendUvarint(b, uint64(g.Hash()))
 	b = appendUvarint(b, uint64(p.N))
-	for _, pr := range pairs {
-		b = appendUvarint(b, uint64(pr.Src))
-		b = appendUvarint(b, uint64(pr.Dst))
+	for _, x := range packed {
+		b = appendUvarint(b, x>>32)
+		b = appendUvarint(b, x&(1<<32-1))
 	}
 	return string(b)
 }

@@ -15,12 +15,22 @@ import (
 
 // Topologies names the host families a request may ask for. For torus,
 // ring, and expander, M is the processor count; for butterfly and ccc, M is
-// the dimension d (their sizes are (d+1)·2^d and d·2^d respectively).
+// the dimension d, and both have d·2^d processors.
 var Topologies = []string{"torus", "ring", "expander", "butterfly", "ccc"}
 
 // maxHostSize bounds served host graphs — requests are user input, and a
 // runaway m must fail validation, not allocate.
 const maxHostSize = 1 << 16
+
+// maxGreedyHostSize bounds the processors of a host routed by
+// routing.GreedyRouter, every family but the torus (which routes by
+// dimension order): the router keeps a BFS row of m ints per destination,
+// and a route allocates about 16·m² bytes, 268 MB at this ceiling.
+const maxGreedyHostSize = 1 << 12
+
+// maxSimulateCells bounds m·n for a simulation: EmbeddingSimulator.Run keeps
+// two m×n host×guest tables, 16·m·n bytes, 268 MB at this ceiling.
+const maxSimulateCells = 1 << 24
 
 // maxGuestSize bounds served guest networks.
 const maxGuestSize = 1 << 14
@@ -39,27 +49,48 @@ func hostSize(he hostEntry) int64 {
 	return int64(64*he.g.N()) + 64
 }
 
-// validTopology rejects unknown host families and out-of-range sizes.
+// validTopology rejects unknown host families and out-of-range sizes,
+// including hosts over the greedy-routing ceiling.
 func validTopology(name string, m int) error {
 	switch name {
 	case "torus", "ring", "expander":
 		if m < 4 || m > maxHostSize {
 			return fmt.Errorf("service: %s size m=%d out of range [4,%d]", name, m, maxHostSize)
 		}
-	case "butterfly", "ccc":
+	case "butterfly":
 		if m < 2 || m > 12 {
 			return fmt.Errorf("service: %s dimension m=%d out of range [2,12]", name, m)
+		}
+	case "ccc":
+		if m < 3 || m > 12 {
+			return fmt.Errorf("service: %s dimension m=%d out of range [3,12]", name, m)
 		}
 	default:
 		return fmt.Errorf("service: unknown topology %q (have %v)", name, Topologies)
 	}
+	if p := processors(name, m); name != "torus" && p > maxGreedyHostSize {
+		return fmt.Errorf("service: %s host of %d processors over the greedy-routing ceiling %d", name, p, maxGreedyHostSize)
+	}
 	return nil
 }
 
+// processors returns the processor count of a valid host request: m, or
+// d·2^d for butterfly and ccc, whose m is the dimension d.
+func processors(name string, m int) int {
+	if name == "butterfly" || name == "ccc" {
+		return m << m
+	}
+	return m
+}
+
 // host returns a Host for the request, consulting the host-graph cache
-// before constructing, and always attaching a fresh router.
+// before constructing, and always attaching a fresh router. Only the
+// expander's graph depends on the seed, so only its key holds it.
 func (s *Service) host(name string, m int, seed int64) (*universal.Host, error) {
-	key := fmt.Sprintf("host|%s|%d|%d", name, m, seed)
+	key := fmt.Sprintf("host|%s|%d", name, m)
+	if name == "expander" {
+		key += fmt.Sprintf("|%d", seed)
+	}
 	he, err := s.hosts.GetOrCompute(key, func() (hostEntry, error) {
 		h, err := buildHost(name, m, seed)
 		if err != nil {
@@ -159,6 +190,9 @@ func (r SimulateRequest) Validate() error {
 	}
 	if r.GuestDegree < 2 || r.GuestDegree > 8 {
 		return fmt.Errorf("service: guest_degree=%d out of range [2,8]", r.GuestDegree)
+	}
+	if m := processors(r.Topology, r.M); m*r.N > maxSimulateCells {
+		return fmt.Errorf("service: m·n = %d·%d over the simulation ceiling %d", m, r.N, maxSimulateCells)
 	}
 	return nil
 }

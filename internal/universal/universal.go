@@ -115,11 +115,12 @@ func (es *EmbeddingSimulator) Run(c *sim.Computation, T int) (*RunReport, error)
 	var pairs []routing.Pair
 	type delivery struct{ i, dstHost int }
 	var deliveries []delivery
+	shipped := make([]int, m) // shipped[q] == i+1 once guest i's pair to host q exists
 	for i := 0; i < n; i++ {
-		seen := map[int]bool{f[i]: true}
+		shipped[f[i]] = i + 1
 		for _, j := range guest.Neighbors(i) {
-			if !seen[f[j]] {
-				seen[f[j]] = true
+			if shipped[f[j]] != i+1 {
+				shipped[f[j]] = i + 1
 				pairs = append(pairs, routing.Pair{Src: f[i], Dst: f[j]})
 				deliveries = append(deliveries, delivery{i: i, dstHost: f[j]})
 			}
