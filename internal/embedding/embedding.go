@@ -11,6 +11,7 @@ package embedding
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"universalnet/internal/graph"
@@ -28,7 +29,11 @@ type Embedding struct {
 }
 
 // New builds an embedding from a placement, routing every guest edge along
-// a shortest host path (breadth-first, deterministic tie-breaking).
+// a shortest host path (breadth-first, deterministic tie-breaking). One BFS
+// tree per distinct source host serves every guest edge leaving that host;
+// the edges are bucketed by source host so that only one tree is alive at a
+// time, and a disconnected host is reported at the first such edge in
+// Edges order.
 func New(guest, host *graph.Graph, f []int) (*Embedding, error) {
 	if len(f) != guest.N() {
 		return nil, fmt.Errorf("embedding: placement has %d entries for %d guests", len(f), guest.N())
@@ -42,16 +47,62 @@ func New(guest, host *graph.Graph, f []int) (*Embedding, error) {
 		Guest: guest,
 		Host:  host,
 		F:     append([]int(nil), f...),
-		Paths: make(map[graph.Edge][]int),
+		Paths: make(map[graph.Edge][]int, guest.M()),
 	}
-	for _, ge := range guest.Edges() {
-		path := host.ShortestPath(f[ge.U], f[ge.V])
-		if path == nil {
-			return nil, fmt.Errorf("embedding: hosts %d and %d disconnected", f[ge.U], f[ge.V])
+	edges := guest.Edges()
+	m := host.N()
+	// start[q] is where host q's bucket begins in byHost, which lists edge
+	// indices bucketed by source host, in Edges order within a bucket.
+	start := make([]int, m+1)
+	for _, ge := range edges {
+		start[f[ge.U]+1]++
+	}
+	for q := 0; q < m; q++ {
+		start[q+1] += start[q]
+	}
+	byHost := make([]int, len(edges))
+	fill := slices.Clone(start[:m])
+	for i, ge := range edges {
+		byHost[fill[f[ge.U]]] = i
+		fill[f[ge.U]]++
+	}
+	bad := len(edges) // the first edge, in Edges order, between disconnected hosts
+	for q := 0; q < m; q++ {
+		bucket := byHost[start[q]:start[q+1]]
+		if len(bucket) == 0 {
+			continue
 		}
-		e.Paths[ge] = path
+		tree := host.ShortestPathTree(q)
+		for _, i := range bucket {
+			if path := treePath(tree, f[edges[i].V]); path != nil {
+				e.Paths[edges[i]] = path
+			} else {
+				bad = min(bad, i)
+			}
+		}
+	}
+	if bad < len(edges) {
+		ge := edges[bad]
+		return nil, fmt.Errorf("embedding: hosts %d and %d disconnected", f[ge.U], f[ge.V])
 	}
 	return e, nil
+}
+
+// treePath walks a ShortestPathTree parent array from dst back to its root
+// and returns the path root first, or nil when dst is unreachable.
+func treePath(parent []int, dst int) []int {
+	if parent[dst] < 0 {
+		return nil
+	}
+	hops := 0
+	for x := dst; parent[x] != x; x = parent[x] {
+		hops++
+	}
+	path := make([]int, hops+1)
+	for i, x := hops, dst; i >= 0; i, x = i-1, parent[x] {
+		path[i] = x
+	}
+	return path
 }
 
 // Load returns the maximum number of guests on one host processor.

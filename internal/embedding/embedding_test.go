@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,8 +79,129 @@ func TestNewRejectsDisconnectedHost(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.MustAddEdge(0, 1)
 	b.MustAddEdge(2, 3)
-	if _, err := New(g, b.Build(), []int{0, 1, 2, 3}); err == nil {
-		t.Error("disconnected host accepted")
+	_, err := New(g, b.Build(), []int{0, 1, 2, 3})
+	if want := "embedding: hosts 0 and 3 disconnected"; err == nil || err.Error() != want {
+		t.Errorf("disconnected host: error %v, want %q", err, want)
+	}
+}
+
+// shortestPath is the per-edge search New ran before it kept one BFS tree
+// per source host, kept as its oracle: a breadth-first search from src over
+// sorted neighbor lists that stops when it discovers dst, then walks the
+// parents back. It returns nil when dst is unreachable.
+func shortestPath(g *graph.Graph, src, dst int) []int {
+	if src == dst {
+		return []int{src}
+	}
+	parent := make([]int, g.N())
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[src] = src
+	queue := []int{src}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, w := range g.Neighbors(v) {
+			if parent[w] >= 0 {
+				continue
+			}
+			parent[w] = v
+			if w == dst {
+				path := []int{dst}
+				for x := dst; x != src; x = parent[x] {
+					path = append(path, parent[x])
+				}
+				slices.Reverse(path)
+				return path
+			}
+			queue = append(queue, w)
+		}
+	}
+	return nil
+}
+
+// TestNewMatchesShortestPath holds New's tree walks to the per-edge
+// early-exit search on seeded random guests placed at random and i mod m on
+// ring, torus, expander and ccc hosts, with more guests than hosts so that
+// guests share a host and many edges leave one host.
+func TestNewMatchesShortestPath(t *testing.T) {
+	must := func(g *graph.Graph, err error) *graph.Graph {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	hosts := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ring", must(topology.Ring(12))},
+		{"torus", must(topology.Torus(25))},
+		{"expander", must(topology.RandomRegular(rand.New(rand.NewSource(5)), 30, 4))},
+		{"ccc", must(topology.CubeConnectedCycles(3))},
+	}
+	instances := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, h := range hosts {
+			m := h.g.N()
+			rng := rand.New(rand.NewSource(seed))
+			guest := must(topology.RandomGuest(rng, 2*m+2*int(seed), 4))
+			for _, placement := range []string{"random", "mod"} {
+				f := make([]int, guest.N())
+				for i := range f {
+					if placement == "mod" {
+						f[i] = i % m
+					} else {
+						f[i] = rng.Intn(m)
+					}
+				}
+				e, err := New(guest, h.g, f)
+				if err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, h.name, placement, err)
+				}
+				edges := guest.Edges()
+				if len(e.Paths) != len(edges) {
+					t.Fatalf("seed %d %s %s: %d paths for %d edges", seed, h.name, placement, len(e.Paths), len(edges))
+				}
+				for _, ge := range edges {
+					if got, want := e.Paths[ge], shortestPath(h.g, f[ge.U], f[ge.V]); !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s %s edge %v: path %v, oracle %v", seed, h.name, placement, ge, got, want)
+					}
+				}
+				instances++
+			}
+		}
+	}
+	if instances < 30 {
+		t.Fatalf("%d instances, want at least 30", instances)
+	}
+}
+
+// BenchmarkEmbeddingNew times an embed miss's embedding: a 1024-guest,
+// degree-4 random guest placed i mod m on a 64-processor 4-regular random
+// host, every guest edge routed on a shortest host path.
+func BenchmarkEmbeddingNew(b *testing.B) {
+	guest, err := topology.RandomGuest(rand.New(rand.NewSource(1)), 1024, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, err := topology.RandomRegular(rand.New(rand.NewSource(1)), 64, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !host.IsConnected() {
+		b.Fatal("host is disconnected")
+	}
+	f := make([]int, guest.N())
+	for i := range f {
+		f[i] = i % host.N()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(guest, host, f); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

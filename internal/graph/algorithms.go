@@ -30,39 +30,30 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst (inclusive of both
-// endpoints), or nil if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
+// ShortestPathTree returns src's breadth-first parent array: parent[src] is
+// src, parent[v] is the vertex that first discovered v, scanning each
+// vertex's sorted neighbors in queue order, and -1 marks an unreachable v.
+// Walking parents from any reachable v back to src gives a shortest path,
+// the one an early-exit search for v would find, since stopping at v
+// changes no parent already assigned. src must lie in [0, N).
+func (g *Graph) ShortestPathTree(src int) []int {
 	parent := make([]int, g.N())
 	for i := range parent {
 		parent[i] = -1
 	}
 	parent[src] = src
-	queue := []int{src}
+	queue := make([]int, 0, g.N())
+	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, w := range g.adj[v] {
 			if parent[w] < 0 {
 				parent[w] = v
-				if w == dst {
-					// Reconstruct.
-					path := []int{dst}
-					for x := dst; x != src; x = parent[x] {
-						path = append(path, parent[x])
-					}
-					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-						path[i], path[j] = path[j], path[i]
-					}
-					return path
-				}
 				queue = append(queue, w)
 			}
 		}
 	}
-	return nil
+	return parent
 }
 
 // ConnectedComponents returns, for each vertex, the index of its component

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,29 +189,38 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
+// TestShortestPath: every vertex's tree parent is a neighbor one BFS level
+// nearer the root, the root is its own parent, and on the ring the walk
+// from 5 back to 0 is a 5-hop path whose first step goes to the lower
+// neighbor 1, the one a search scanning sorted neighbors discovers first.
 func TestShortestPath(t *testing.T) {
 	g := ringGraph(t, 10)
-	p := g.ShortestPath(0, 5)
-	if len(p) != 6 {
-		t.Fatalf("path length %d, want 6 hops+1: %v", len(p), p)
-	}
-	if p[0] != 0 || p[len(p)-1] != 5 {
-		t.Errorf("endpoints wrong: %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Errorf("non-edge on path: %d-%d", p[i], p[i+1])
+	parent := g.ShortestPathTree(0)
+	dist := g.BFS(0)
+	for v, p := range parent {
+		if v == 0 {
+			if p != 0 {
+				t.Errorf("root parent %d, want 0", p)
+			}
+			continue
+		}
+		if !g.HasEdge(v, p) || dist[p] != dist[v]-1 {
+			t.Errorf("parent of %d is %d: edge %v, levels %d and %d", v, p, g.HasEdge(v, p), dist[v], dist[p])
 		}
 	}
-	if got := g.ShortestPath(3, 3); len(got) != 1 || got[0] != 3 {
-		t.Errorf("trivial path wrong: %v", got)
+	var path []int
+	for x := 5; x != 0; x = parent[x] {
+		path = append(path, x)
+	}
+	if want := []int{5, 4, 3, 2, 1}; !slices.Equal(path, want) {
+		t.Errorf("walk from 5: %v, want %v", path, want)
 	}
 }
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := mustGraph(t, 4, [][2]int{{0, 1}, {2, 3}})
-	if p := g.ShortestPath(0, 3); p != nil {
-		t.Errorf("path across components: %v", p)
+	if parent := g.ShortestPathTree(0); parent[2] != -1 || parent[3] != -1 {
+		t.Errorf("tree across components: %v", parent)
 	}
 }
 

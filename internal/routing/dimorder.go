@@ -109,9 +109,10 @@ func (r *DimensionOrderRouter) rules(g *graph.Graph, p *Problem) (stepRules, err
 		maxStep = 64 * (2*r.N + 1) * (p.H() + 1)
 	}
 	return stepRules{
-		maxStep: maxStep,
-		hop:     func(pk *packet) (int, error) { return r.nextHop(pk.at, pk.dst), nil },
-		dist:    r.remaining,
+		maxStep:  maxStep,
+		hop:      func(pk *packet) (int, error) { return r.nextHop(pk.at, pk.dst), nil },
+		dist:     r.remaining,
+		fixedHop: true,
 	}, nil
 }
 

@@ -293,22 +293,25 @@ func LowerBoundSteps(g *graph.Graph, p *Problem) (int, error) {
 }
 
 // packet is the in-flight representation. left caches the distance to go
-// and next the node hop chose this step.
+// and pos the directed-edge position of the hop it takes next, -1 until
+// hop is asked from where it stands.
 type packet struct {
 	id   int
 	at   int
 	dst  int
 	hops int
 	left int
-	next int
+	pos  int
 }
 
 // stepRules is what a packet-stepping router hands stepPackets: its step
-// bound, its next-hop rule and its distance to go.
+// bound, its next-hop rule and its distance to go. fixedHop declares that
+// hop, like dist, depends on (at, dst) alone.
 type stepRules struct {
-	maxStep int
-	hop     func(pk *packet) (int, error)
-	dist    func(pk *packet) int
+	maxStep  int
+	hop      func(pk *packet) (int, error)
+	dist     func(pk *packet) int
+	fixedHop bool
 }
 
 // GreedyRouter forwards every packet along shortest paths, arbitrating link
@@ -389,7 +392,8 @@ func (r *GreedyRouter) rules(g *graph.Graph, p *Problem) (stepRules, error) {
 			}
 			return v, nil
 		},
-		dist: func(pk *packet) int { return cache.to(pk.dst)[pk.at] },
+		dist:     func(pk *packet) int { return cache.to(pk.dst)[pk.at] },
+		fixedHop: r.Policy == nil,
 	}, nil
 }
 
@@ -404,8 +408,10 @@ type nodeSlot struct{ sent, received, counted, queue int }
 // stepPackets routes p on g in synchronous store-and-forward steps; it is
 // the step loop of every packet-stepping router. Its contract:
 //   - each step, rules.hop names the next node of every undelivered packet,
-//     called once per packet in packet order, so a seeded policy draws
-//     deterministically; a node that is not a neighbor in g is an error;
+//     called in packet order, so a seeded policy draws deterministically; a
+//     node that is not a neighbor in g is an error. Under rules.fixedHop a
+//     packet asks only when it is created and after it moves, and a waiting
+//     packet keeps the answer it has;
 //   - each directed edge carries one packet: the one with the most distance
 //     left by rules.dist, the lower packet id on ties;
 //   - under SinglePort the winners move in ascending (u, v) order while each
@@ -420,8 +426,8 @@ type nodeSlot struct{ sent, received, counted, queue int }
 // rules.dist must depend on (at, dst) alone. Arbitration runs on dense
 // arrays indexed by directed-edge position in g's sorted adjacency (u's
 // offset plus v's index in Neighbors(u)), so edge position order is (u, v)
-// order; entries are stamped with the step instead of being cleared.
-// Every pair must lie in [0, g.N()).
+// order; to holds each position's head v, and entries are stamped with the
+// step instead of being cleared. Every pair must lie in [0, g.N()).
 func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Result, error) {
 	var res Result
 	live := make([]packet, 0, len(p.Pairs))
@@ -430,7 +436,7 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 			res.Delivered++
 			continue
 		}
-		live = append(live, packet{id: i, at: pr.Src, dst: pr.Dst})
+		live = append(live, packet{id: i, at: pr.Src, dst: pr.Dst, pos: -1})
 		pk := &live[len(live)-1]
 		pk.left = rules.dist(pk)
 	}
@@ -438,6 +444,10 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 	off := make([]int, n+1)
 	for u := 0; u < n; u++ {
 		off[u+1] = off[u] + g.Degree(u)
+	}
+	to := make([]int, off[n])
+	for u := 0; u < n; u++ {
+		copy(to[off[u]:], g.Neighbors(u))
 	}
 	edges := make([]edgeSlot, off[n])
 	nodes := make([]nodeSlot, n)
@@ -450,20 +460,21 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 		used = used[:0]
 		for i := range live {
 			pk := &live[i]
-			v, err := rules.hop(pk)
-			if err != nil {
-				return res, err
+			if pk.pos < 0 || !rules.fixedHop {
+				v, err := rules.hop(pk)
+				if err != nil {
+					return res, err
+				}
+				j, ok := slices.BinarySearch(g.Neighbors(pk.at), v)
+				if !ok {
+					return res, fmt.Errorf("routing: packet %d hops from %d to %d, which is not a neighbor", pk.id, pk.at, v)
+				}
+				pk.pos = off[pk.at] + j
 			}
-			j, ok := slices.BinarySearch(g.Neighbors(pk.at), v)
-			if !ok {
-				return res, fmt.Errorf("routing: packet %d hops from %d to %d, which is not a neighbor", pk.id, pk.at, v)
-			}
-			pk.next = v
-			pos := off[pk.at] + j
-			e := &edges[pos]
+			e := &edges[pk.pos]
 			if e.stamp != stamp {
 				*e = edgeSlot{stamp: stamp, winner: i}
-				used = append(used, pos)
+				used = append(used, pk.pos)
 				continue
 			}
 			if cur := &live[e.winner]; pk.left > cur.left || pk.left == cur.left && pk.id < cur.id {
@@ -475,16 +486,18 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 		}
 		for _, e := range used {
 			pk := &live[edges[e].winner]
+			v := to[e]
 			if mode == SinglePort {
-				if nodes[pk.at].sent == stamp || nodes[pk.next].received == stamp {
+				if nodes[pk.at].sent == stamp || nodes[v].received == stamp {
 					continue
 				}
 				nodes[pk.at].sent = stamp
-				nodes[pk.next].received = stamp
+				nodes[v].received = stamp
 			}
-			pk.at = pk.next
+			pk.at = v
 			pk.hops++
 			pk.left = rules.dist(pk)
+			pk.pos = -1
 		}
 		// Deliveries and stats.
 		next := live[:0]
@@ -625,17 +638,25 @@ func (r *CachedRouter) SetObs(reg *obs.Registry) {
 
 // Route implements Router.
 func (r *CachedRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
+	return r.RouteKey(g, p, ProblemKey(g, p))
+}
+
+// RouteKey is Route with the schedule key already computed: key must be
+// ProblemKey(g, p). A caller that routes one problem many times, as a
+// simulation does every guest step, keys it once and still consults the
+// cache on every call.
+func (r *CachedRouter) RouteKey(g *graph.Graph, p *Problem, key string) (Result, error) {
 	r.init()
-	return r.Cache.GetOrCompute(problemKey(g, p), func() (Result, error) {
+	return r.Cache.GetOrCompute(key, func() (Result, error) {
 		return r.Inner.Route(g, p)
 	})
 }
 
-// problemKey folds the graph identity and the sorted pair multiset into a
-// string key. Each pair is packed as Src<<32|Dst, so one integer sort puts
-// in-range pairs in (Src, Dst) order; the key only has to be canonical, and
-// its bytes never leave the cache.
-func problemKey(g *graph.Graph, p *Problem) string {
+// ProblemKey folds the graph identity and the sorted pair multiset into
+// CachedRouter's schedule key. Each pair is packed as Src<<32|Dst, so one
+// integer sort puts in-range pairs in (Src, Dst) order; the key only has to
+// be canonical, and its bytes never leave the cache.
+func ProblemKey(g *graph.Graph, p *Problem) string {
 	packed := make([]uint64, len(p.Pairs))
 	for i, pr := range p.Pairs {
 		packed[i] = uint64(pr.Src)<<32 | uint64(uint32(pr.Dst))

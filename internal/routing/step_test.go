@@ -144,7 +144,11 @@ func runLoop(t testing.TB, loop func(*Problem, PortMode, stepRules) (Result, err
 
 // compareLoops holds stepPackets to referenceStepPackets on one instance:
 // the same Result, the same error text and the same hop calls in the same
-// order.
+// order. The reference asks every packet every step; under fixed-hop rules
+// stepPackets asks a packet only when it is created and after it moves, so
+// its calls are the reference's less each repeat from the node the packet
+// last asked from, and a route that delivers every packet makes exactly
+// TotalHops of them.
 func compareLoops(t testing.TB, name string, rf rulesFor, g *graph.Graph, p *Problem, mode PortMode) {
 	t.Helper()
 	dense := func(p *Problem, mode PortMode, rules stepRules) (Result, error) {
@@ -158,6 +162,12 @@ func compareLoops(t testing.TB, name string, rf rulesFor, g *graph.Graph, p *Pro
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 		t.Fatalf("%s %v: result %+v, reference %+v", name, mode, got, want)
 	}
+	if rules, _ := rf(g, p); rules.fixedHop {
+		wantCalls = withoutRepeats(wantCalls)
+		if gotErr == nil && len(gotCalls) != got.TotalHops {
+			t.Fatalf("%s %v: %d hop calls for %d hops", name, mode, len(gotCalls), got.TotalHops)
+		}
+	}
 	if len(gotCalls) != len(wantCalls) {
 		t.Fatalf("%s %v: %d hop calls, reference %d", name, mode, len(gotCalls), len(wantCalls))
 	}
@@ -166,6 +176,21 @@ func compareLoops(t testing.TB, name string, rf rulesFor, g *graph.Graph, p *Pro
 			t.Fatalf("%s %v: hop call %d is %+v, reference %+v", name, mode, i, gotCalls[i], wantCalls[i])
 		}
 	}
+}
+
+// withoutRepeats drops each call a packet makes from the node it last asked
+// from.
+func withoutRepeats(calls []hopCall) []hopCall {
+	last := make(map[int]int) // packet id → node of its last call
+	var out []hopCall
+	for _, c := range calls {
+		if at, ok := last[c.id]; ok && at == c.at {
+			continue
+		}
+		last[c.id] = c.at
+		out = append(out, c)
+	}
+	return out
 }
 
 // TestStepPacketsMatchesReference runs the dense loop and the map-based
@@ -358,10 +383,10 @@ func TestProblemKeyCanonical(t *testing.T) {
 	a := &Problem{N: 16, Pairs: []Pair{{3, 1}, {0, 15}, {3, 0}, {0, 15}}}
 	b := &Problem{N: 16, Pairs: []Pair{{0, 15}, {3, 0}, {0, 15}, {3, 1}}}
 	c := &Problem{N: 16, Pairs: []Pair{{0, 15}, {3, 0}, {0, 14}, {3, 1}}}
-	if problemKey(g, a) != problemKey(g, b) {
+	if ProblemKey(g, a) != ProblemKey(g, b) {
 		t.Error("reordered pairs change the key")
 	}
-	if problemKey(g, a) == problemKey(g, c) {
+	if ProblemKey(g, a) == ProblemKey(g, c) {
 		t.Error("different pairs share a key")
 	}
 }

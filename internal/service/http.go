@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -60,9 +61,7 @@ func post[Req validated, Res any](s *Service, call func(context.Context, Req) (*
 		}
 		rt := timingsFrom(r.Context())
 		var req Req
-		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
+		dec := newDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		decodeStart := time.Now()
 		err := dec.Decode(&req)
 		rt.record(stageDecode, decodeStart)
@@ -79,6 +78,14 @@ func post[Req validated, Res any](s *Service, call func(context.Context, Req) (*
 		writeJSON(w, http.StatusOK, res, s.encodeErrs)
 		rt.record(stageEncode, encodeStart)
 	}
+}
+
+// newDecoder returns the request body decoder, which refuses unknown
+// fields.
+func newDecoder(body io.Reader) *json.Decoder {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec
 }
 
 // statusFor maps service errors onto HTTP statuses.

@@ -78,7 +78,7 @@ func TestHandlerErrorMapping(t *testing.T) {
 		{"/v1/simulate", `{"topology":"klein-bottle","n":64,"m":16}`, http.StatusBadRequest},
 		{"/v1/simulate", `not json`, http.StatusBadRequest},
 		{"/v1/simulate", `{"topology":"torus","n":64,"m":16,"bogus_field":1}`, http.StatusBadRequest},
-		{"/v1/route", `{"topology":"torus","m":36,"pattern":"bitreversal"}`, http.StatusInternalServerError},
+		{"/v1/route", `{"topology":"torus","m":36,"pattern":"bitreversal"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if w := postJSON(t, h, c.path, c.body); w.Code != c.want {
@@ -113,7 +113,7 @@ func TestHandlerOverloadMapsTo429(t *testing.T) {
 	if err := s.submit(func() {}); err != nil {
 		t.Fatal(err)
 	}
-	w := postJSON(t, h, "/v1/simulate", `{"topology":"torus","n":16,"m":4,"seed":1}`)
+	w := postJSON(t, h, "/v1/simulate", `{"topology":"torus","n":16,"m":16,"seed":1}`)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded status = %d, want 429 (body %s)", w.Code, w.Body)
 	}

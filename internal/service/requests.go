@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"universalnet/internal/embedding"
@@ -49,13 +50,26 @@ func hostSize(he hostEntry) int64 {
 	return int64(64*he.g.N()) + 64
 }
 
-// validTopology rejects unknown host families and out-of-range sizes,
-// including hosts over the greedy-routing ceiling.
+// validTopology rejects unknown host families and sizes their builders
+// refuse, including hosts over the greedy-routing ceiling: a torus needs a
+// perfect square m of side at least 3, and the 4-regular expander at least
+// 5 processors.
 func validTopology(name string, m int) error {
 	switch name {
-	case "torus", "ring", "expander":
+	case "torus":
+		if m < 9 || m > maxHostSize {
+			return fmt.Errorf("service: torus size m=%d out of range [9,%d]", m, maxHostSize)
+		}
+		if _, err := topology.SideLength(m); err != nil {
+			return fmt.Errorf("service: torus size m=%d is not a perfect square", m)
+		}
+	case "ring":
 		if m < 4 || m > maxHostSize {
-			return fmt.Errorf("service: %s size m=%d out of range [4,%d]", name, m, maxHostSize)
+			return fmt.Errorf("service: ring size m=%d out of range [4,%d]", m, maxHostSize)
+		}
+	case "expander":
+		if m < 5 || m > maxHostSize {
+			return fmt.Errorf("service: expander size m=%d out of range [5,%d]", m, maxHostSize)
 		}
 	case "butterfly":
 		if m < 2 || m > 12 {
@@ -138,6 +152,24 @@ func buildRouter(name string, n int) (routing.Router, error) {
 	return &routing.GreedyRouter{Mode: routing.MultiPort}, nil
 }
 
+// validGuest rejects guest sizes and degrees out of range and the ones the
+// random regular generator refuses: an odd n·deg, or deg ≥ n.
+func validGuest(n, deg int) error {
+	if n < 4 || n > maxGuestSize {
+		return fmt.Errorf("service: n=%d out of range [4,%d]", n, maxGuestSize)
+	}
+	if deg < 2 || deg > 8 {
+		return fmt.Errorf("service: guest_degree=%d out of range [2,8]", deg)
+	}
+	if deg >= n {
+		return fmt.Errorf("service: guest_degree=%d not below n=%d", deg, n)
+	}
+	if n*deg%2 != 0 {
+		return fmt.Errorf("service: n·guest_degree = %d·%d is odd", n, deg)
+	}
+	return nil
+}
+
 // guest builds the request's deterministic random guest network.
 func guest(n, deg int, seed int64) (*graph.Graph, *rand.Rand, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -182,14 +214,11 @@ func (r SimulateRequest) Validate() error {
 	if err := validTopology(r.Topology, r.M); err != nil {
 		return err
 	}
-	if r.N < 4 || r.N > maxGuestSize {
-		return fmt.Errorf("service: n=%d out of range [4,%d]", r.N, maxGuestSize)
+	if err := validGuest(r.N, r.GuestDegree); err != nil {
+		return err
 	}
 	if r.Steps < 1 || r.Steps > 512 {
 		return fmt.Errorf("service: steps=%d out of range [1,512]", r.Steps)
-	}
-	if r.GuestDegree < 2 || r.GuestDegree > 8 {
-		return fmt.Errorf("service: guest_degree=%d out of range [2,8]", r.GuestDegree)
 	}
 	if m := processors(r.Topology, r.M); m*r.N > maxSimulateCells {
 		return fmt.Errorf("service: m·n = %d·%d over the simulation ceiling %d", m, r.N, maxSimulateCells)
@@ -295,7 +324,11 @@ func (r RouteRequest) Validate() error {
 		return err
 	}
 	switch r.Pattern {
-	case "permutation", "bitreversal":
+	case "permutation":
+	case "bitreversal":
+		if p := processors(r.Topology, r.M); p&(p-1) != 0 {
+			return fmt.Errorf("service: bitreversal needs a power-of-two host, %s m=%d has %d processors", r.Topology, r.M, p)
+		}
 	case "hh":
 		if r.H < 1 || r.H > 64 {
 			return fmt.Errorf("service: h=%d out of range [1,64]", r.H)
@@ -345,23 +378,9 @@ func (s *Service) computeRoute(req RouteRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := host.Graph.N()
-	rng := rand.New(rand.NewSource(req.Seed))
-	var p *routing.Problem
-	switch req.Pattern {
-	case "permutation":
-		p = routing.RandomPermutation(rng, n)
-	case "hh":
-		p = routing.RandomHH(rng, n, req.H)
-	case "bitreversal":
-		d := 0
-		for 1<<d < n {
-			d++
-		}
-		if 1<<d != n {
-			return nil, fmt.Errorf("service: bitreversal needs a power-of-two host, %s has %d", host.Name, n)
-		}
-		p = routing.BitReversal(d)
+	p, err := req.problem(host.Graph.N())
+	if err != nil {
+		return nil, err
 	}
 	router := &routing.CachedRouter{Inner: host.Router, Cache: s.schedules, Obs: s.obs}
 	res, err := router.Route(host.Graph, p)
@@ -377,6 +396,23 @@ func (s *Service) computeRoute(req RouteRequest) (any, error) {
 		MaxQueue:  res.MaxQueue,
 		TotalHops: res.TotalHops,
 	}, nil
+}
+
+// problem returns the request's seeded pattern on a host of n processors.
+func (r RouteRequest) problem(n int) (*routing.Problem, error) {
+	rng := rand.New(rand.NewSource(r.Seed))
+	switch r.Pattern {
+	case "permutation":
+		return routing.RandomPermutation(rng, n), nil
+	case "hh":
+		return routing.RandomHH(rng, n, r.H), nil
+	case "bitreversal":
+		if n < 1 || n&(n-1) != 0 {
+			return nil, fmt.Errorf("service: bitreversal needs a power-of-two host, got %d processors", n)
+		}
+		return routing.BitReversal(bits.TrailingZeros(uint(n))), nil
+	}
+	return nil, fmt.Errorf("service: unknown pattern %q", r.Pattern)
 }
 
 // ---------------------------------------------------------------------------
@@ -406,13 +442,7 @@ func (r EmbedRequest) Validate() error {
 	if err := validTopology(r.Topology, r.M); err != nil {
 		return err
 	}
-	if r.N < 4 || r.N > maxGuestSize {
-		return fmt.Errorf("service: n=%d out of range [4,%d]", r.N, maxGuestSize)
-	}
-	if r.GuestDegree < 2 || r.GuestDegree > 8 {
-		return fmt.Errorf("service: guest_degree=%d out of range [2,8]", r.GuestDegree)
-	}
-	return nil
+	return validGuest(r.N, r.GuestDegree)
 }
 
 // Key is the coalescing/cache key.

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
+
+	"universalnet/internal/topology"
 )
 
 // TestValidateCeilings checks each request limit just inside and just
@@ -92,4 +97,124 @@ func TestHostCacheKeysOnlyWhatTheHostDependsOn(t *testing.T) {
 	if st := s.Status().Hosts; st.Misses != 3 || st.Hits != 1 {
 		t.Errorf("then two expander seeds: host cache misses %d, hits %d; want 3 and 1", st.Misses, st.Hits)
 	}
+}
+
+// TestValidateRejectsWhatBuildersRefuse: each request below once passed
+// Validate and failed in its host, guest or pattern builder with a 500; it
+// is now the client's error, a 400 carrying Validate's message.
+func TestValidateRejectsWhatBuildersRefuse(t *testing.T) {
+	h := Handler(newTestService(t, Config{Workers: 1}))
+	cases := []struct{ path, body, want string }{
+		{"/v1/route", `{"topology":"torus","m":5,"seed":1}`,
+			"service: torus size m=5 out of range [9,65536]"},
+		{"/v1/simulate", `{"topology":"torus","n":64,"m":10,"seed":1}`,
+			"service: torus size m=10 is not a perfect square"},
+		{"/v1/route", `{"topology":"torus","m":4,"seed":1}`,
+			"service: torus size m=4 out of range [9,65536]"},
+		{"/v1/route", `{"topology":"expander","m":4,"seed":1}`,
+			"service: expander size m=4 out of range [5,65536]"},
+		{"/v1/simulate", `{"topology":"ring","n":5,"m":8,"seed":1,"guest_degree":3}`,
+			"service: n·guest_degree = 5·3 is odd"},
+		{"/v1/embed", `{"topology":"ring","n":5,"m":8,"seed":1,"guest_degree":3}`,
+			"service: n·guest_degree = 5·3 is odd"},
+		{"/v1/embed", `{"topology":"ring","n":4,"m":8,"seed":1,"guest_degree":4}`,
+			"service: guest_degree=4 not below n=4"},
+		{"/v1/route", `{"topology":"ring","m":7,"seed":1,"pattern":"bitreversal"}`,
+			"service: bitreversal needs a power-of-two host, ring m=7 has 7 processors"},
+		{"/v1/route", `{"topology":"butterfly","m":3,"seed":1,"pattern":"bitreversal"}`,
+			"service: bitreversal needs a power-of-two host, butterfly m=3 has 24 processors"},
+	}
+	for _, c := range cases {
+		w := postJSON(t, h, c.path, c.body)
+		var body apiError
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("POST %s %s: %v", c.path, c.body, err)
+		}
+		if want := ErrInvalid.Error() + ": " + c.want; w.Code != http.StatusBadRequest || body.Error != want {
+			t.Errorf("POST %s %s: status %d error %q, want 400 %q", c.path, c.body, w.Code, body.Error, want)
+		}
+	}
+}
+
+// FuzzRequestValidate decodes a /v1 body as the handler does (the first
+// byte picks simulate, route or embed), applies the request's defaults and
+// Validate, and for an accepted request on at most 64 processors with at
+// most 256 guests builds what its compute builds first: the host, then the
+// guest or the route pattern. Nothing may panic, and an accepted request's
+// builders may fail only by chance, with topology.ErrGenerationFailed.
+func FuzzRequestValidate(f *testing.F) {
+	seeds := []struct {
+		kind byte
+		body string
+	}{
+		{0, `{"topology":"torus","n":64,"m":16,"seed":1,"steps":2}`},
+		{0, `{"topology":"ccc","n":96,"m":3,"seed":4,"guest_degree":3}`},
+		{0, `{"topology":"torus","n":64,"m":5}`},
+		{0, `{"topology":"ring","n":5,"m":8,"guest_degree":3}`},
+		{1, `{"topology":"expander","m":16,"seed":2,"pattern":"hh","h":3}`},
+		{1, `{"topology":"butterfly","m":2,"pattern":"bitreversal"}`},
+		{1, `{"topology":"butterfly","m":3,"pattern":"bitreversal"}`},
+		{1, `{"topology":"ring","m":7,"pattern":"bitreversal"}`},
+		{2, `{"topology":"expander","n":40,"m":5,"seed":9,"guest_degree":4}`},
+		{2, `{"topology":"ring","n":4,"m":8,"guest_degree":4}`},
+		{2, `{"topology":"torus","n":20,"m":9,"bogus":1}`},
+	}
+	for _, s := range seeds {
+		f.Add(append([]byte{s.kind}, s.body...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		body := data[1:]
+		small := func(name string, m, n int) bool { return processors(name, m) <= 64 && n <= 256 }
+		// build runs buildHost, then next on the host's processor count.
+		build := func(name string, m int, seed int64, next func(procs int) error) {
+			host, err := buildHost(name, m, seed)
+			if err == nil {
+				err = next(host.Graph.N())
+			}
+			if err != nil && !errors.Is(err, topology.ErrGenerationFailed) {
+				t.Fatalf("%s m=%d seed %d: accepted, then %v", name, m, seed, err)
+			}
+		}
+		guestOf := func(n, deg int, seed int64) func(int) error {
+			return func(int) error {
+				_, _, err := guest(n, deg, seed)
+				return err
+			}
+		}
+		switch data[0] % 3 {
+		case 0:
+			if req, ok := accepted[SimulateRequest](body); ok && small(req.Topology, req.M, req.N) {
+				build(req.Topology, req.M, req.Seed, guestOf(req.N, req.GuestDegree, req.Seed))
+			}
+		case 1:
+			if req, ok := accepted[RouteRequest](body); ok && small(req.Topology, req.M, 0) {
+				build(req.Topology, req.M, req.Seed, func(procs int) error {
+					_, err := req.problem(procs)
+					return err
+				})
+			}
+		case 2:
+			if req, ok := accepted[EmbedRequest](body); ok && small(req.Topology, req.M, req.N) {
+				build(req.Topology, req.M, req.Seed, guestOf(req.N, req.GuestDegree, req.Seed))
+			}
+		}
+	})
+}
+
+// request is what each /v1 request type provides.
+type request[T any] interface {
+	withDefaults() T
+	Validate() error
+}
+
+// accepted decodes body as the handler does and reports whether the
+// request, with its defaults, passes Validate.
+func accepted[T request[T]](body []byte) (T, bool) {
+	var req T
+	err := newDecoder(bytes.NewReader(body)).Decode(&req)
+	req = req.withDefaults()
+	return req, err == nil && req.Validate() == nil
 }

@@ -186,7 +186,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err := s.submit(func() {}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit on full queue: %v, want ErrOverloaded", err)
 	}
-	_, err := s.Simulate(context.Background(), SimulateRequest{Topology: "torus", N: 16, M: 4, Seed: 1})
+	_, err := s.Simulate(context.Background(), SimulateRequest{Topology: "torus", N: 16, M: 16, Seed: 1})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Simulate on full queue: %v, want ErrOverloaded", err)
 	}
@@ -208,7 +208,7 @@ func TestDeadline(t *testing.T) {
 	<-running
 	// This request sits behind the wedged worker past its 20ms deadline.
 	_, err := s.Simulate(context.Background(),
-		SimulateRequest{Topology: "torus", N: 16, M: 4, Seed: 1, DeadlineMS: 20})
+		SimulateRequest{Topology: "torus", N: 16, M: 16, Seed: 1, DeadlineMS: 20})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -245,7 +245,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err := s.submit(func() {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit during drain: %v, want ErrClosed", err)
 	}
-	if _, err := s.Simulate(context.Background(), SimulateRequest{Topology: "torus", N: 16, M: 4, Seed: 1}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Simulate(context.Background(), SimulateRequest{Topology: "torus", N: 16, M: 16, Seed: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Simulate during drain: %v, want ErrClosed", err)
 	}
 	close(gate) // let the wedged job and the queue drain

@@ -128,8 +128,10 @@ func (es *EmbeddingSimulator) Run(c *sim.Computation, T int) (*RunReport, error)
 	}
 	problem := &routing.Problem{N: m, Pairs: pairs}
 	// The relation is identical every guest step ("known in advance", §2):
-	// route it once and replay the schedule's cost. Routers here are
-	// deterministic for a fixed seed, so this changes wall-clock only.
+	// key it once, route it once and replay the schedule's cost. Routers
+	// here are deterministic for a fixed seed, so this changes wall-clock
+	// only.
+	key := routing.ProblemKey(es.Host.Graph, problem)
 	router := &routing.CachedRouter{Inner: es.Host.Router, Cache: es.Schedules}
 	if es.Obs != nil {
 		routing.SetObs(router, es.Obs)
@@ -150,7 +152,7 @@ func (es *EmbeddingSimulator) Run(c *sim.Computation, T int) (*RunReport, error)
 		// configurations also need distributing, hence phase-before-compute).
 		stepRoute := 0
 		if len(pairs) > 0 {
-			res, err := router.Route(es.Host.Graph, problem)
+			res, err := router.RouteKey(es.Host.Graph, problem, key)
 			if err != nil {
 				return nil, fmt.Errorf("universal: routing at guest step %d: %w", t, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"universalnet/internal/graph"
+	"universalnet/internal/obs"
 	"universalnet/internal/pebble"
 	"universalnet/internal/routing"
 	"universalnet/internal/sim"
@@ -86,6 +87,25 @@ func TestEmbeddingSimulatorCorrectness(t *testing.T) {
 	}
 	if rep.HostSteps != rep.ComputeSteps+rep.RouteSteps {
 		t.Error("step accounting inconsistent")
+	}
+}
+
+// TestEmbeddingSimulatorConsultsSchedulesEveryStep: the relation is keyed
+// once per run, but the schedule cache is still consulted at every guest
+// step, so a 5-step run counts one miss and four hits.
+func TestEmbeddingSimulatorConsultsSchedulesEveryStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	guest, err := topology.RandomGuest(rng, 32, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedules := routing.NewScheduleCache(routing.DefaultScheduleBudget, obs.New())
+	es := &EmbeddingSimulator{Host: mustHost(t)(TorusHost(16)), Schedules: schedules}
+	if _, err := es.Run(sim.MixMod(guest, rng), 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := schedules.Stats(); st.Misses != 1 || st.Hits != 4 {
+		t.Errorf("schedule cache: %d misses, %d hits; want 1 and 4", st.Misses, st.Hits)
 	}
 }
 
