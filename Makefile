@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-race perfbench-test fuzz-smoke bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report report-golden examples cover clean
+.PHONY: all build check linkcheck test test-race perfbench-test fuzz-smoke bench bench-json bench-compare bench-smoke load-smoke cluster-smoke trace-smoke bigsim-smoke redblue-smoke report report-golden examples cover clean
 
 # Explicit bench-compare tolerances (percent growth allowed per metric). CI
 # and local runs share these so the gate's verdict is reproducible.
@@ -21,6 +21,15 @@ check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
+
+# Dead-export gate: builds the ten binaries (the root module's main packages
+# and perfbench) with inlining off, since an inlined function may leave no
+# symbol of its own, and fails when an exported function of internal/ or the
+# facade is linked into none of them and is not listed with a reason in
+# scripts/linkcheck/allow.txt. It stays out of check so that `make test`
+# does not pay for ten builds; CI's check job runs both.
+linkcheck:
+	$(GO) run ./scripts/linkcheck
 
 test: check
 	$(GO) test ./...

@@ -97,28 +97,10 @@ func (c *Cache[K, V]) count(suffix string) {
 	c.obs.Counter(c.name + suffix).Inc()
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.count(".misses")
-		return zero, false
-	}
-	c.order.MoveToFront(el)
-	c.count(".hits")
-	return el.Value.(*entry[K, V]).value, true
-}
-
-// Peek is Get without the miss accounting: a present key counts a hit and
-// refreshes recency, an absent key counts nothing. For fast paths that will
-// fall through to GetOrCompute (which records the authoritative miss) —
-// using Get there would double-count every miss.
+// Peek returns the cached value for key: a present key counts a hit and
+// refreshes recency, an absent key counts nothing. It serves fast paths that
+// fall through to GetOrCompute, which records the authoritative miss, so
+// counting one here would double-count every miss.
 func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	var zero V
 	if c == nil {
@@ -135,20 +117,10 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return el.Value.(*entry[K, V]).value, true
 }
 
-// Add inserts (or replaces) key → value, evicting least-recently-used
-// entries until the byte budget holds. A value larger than the whole budget
-// is not stored (counted as an eviction): caching it would just flush
-// everything else for a value that can never be kept.
-func (c *Cache[K, V]) Add(key K, value V) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(key, value)
-}
-
-// add is Add with c.mu held.
+// add inserts (or replaces) key → value with c.mu held, evicting
+// least-recently-used entries until the byte budget holds. A value larger
+// than the whole budget is not stored (counted as an eviction): caching it
+// would just flush everything else for a value that can never be kept.
 func (c *Cache[K, V]) add(key K, value V) {
 	size := c.sizeOf(value)
 	if size < 1 {
@@ -269,16 +241,6 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Bytes returns the estimated bytes currently held.
-func (c *Cache[K, V]) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Stats is a point-in-time summary of the cache's counters, for status

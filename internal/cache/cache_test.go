@@ -12,26 +12,33 @@ import (
 	"universalnet/internal/obs"
 )
 
-func TestGetAddBasics(t *testing.T) {
+// put stores key → value as GetOrCompute stores a computed result.
+func put[K comparable, V any](c *Cache[K, V], key K, value V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.add(key, value)
+}
+
+func TestPeekPutBasics(t *testing.T) {
 	reg := obs.New()
 	c := New[string, int]("test", 100, func(int) int64 { return 10 }, reg)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Peek("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Add("a", 1)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v; want 1, true", v, ok)
+	put(c, "a", 1)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v; want 1, true", v, ok)
 	}
-	c.Add("a", 2) // replace
-	if v, _ := c.Get("a"); v != 2 {
-		t.Fatalf("Get(a) after replace = %d, want 2", v)
-	}
-	if c.Len() != 1 || c.Bytes() != 10 {
-		t.Fatalf("Len=%d Bytes=%d, want 1, 10", c.Len(), c.Bytes())
+	put(c, "a", 2) // replace
+	if v, _ := c.Peek("a"); v != 2 {
+		t.Fatalf("Peek(a) after replace = %d, want 2", v)
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits, 1 miss", st)
+	if st.Entries != 1 || st.Bytes != 10 || c.Len() != 1 {
+		t.Fatalf("Entries=%d Bytes=%d Len=%d, want 1, 10, 1", st.Entries, st.Bytes, c.Len())
+	}
+	if st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 2 hits and no miss (Peek counts none)", st)
 	}
 	if reg.Counter("test.hits").Value() != 2 {
 		t.Fatal("obs counter test.hits not wired")
@@ -39,29 +46,29 @@ func TestGetAddBasics(t *testing.T) {
 }
 
 // TestEvictionOrder pins the byte-budget LRU contract: when the budget
-// overflows, the least-recently-*used* entry goes first — a Get refreshes
+// overflows, the least-recently-*used* entry goes first — a Peek refreshes
 // recency, so the untouched entry is the victim.
 func TestEvictionOrder(t *testing.T) {
 	reg := obs.New()
 	c := New[string, int]("test", 30, func(int) int64 { return 10 }, reg)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	c.Get("a") // refresh a: LRU order is now b, c, a
-	c.Add("d", 4)
-	if _, ok := c.Get("b"); ok {
+	put(c, "a", 1)
+	put(c, "b", 2)
+	put(c, "c", 3)
+	c.Peek("a") // refresh a: LRU order is now b, c, a
+	put(c, "d", 4)
+	if _, ok := c.Peek("b"); ok {
 		t.Error("b should have been evicted (least recently used)")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Peek(k); !ok {
 			t.Errorf("%s evicted, want kept", k)
 		}
 	}
 	if got := reg.Counter("test.evictions").Value(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
-	if c.Bytes() != 30 {
-		t.Errorf("Bytes = %d, want 30", c.Bytes())
+	if b := c.Stats().Bytes; b != 30 {
+		t.Errorf("Bytes = %d, want 30", b)
 	}
 	if got := reg.Gauge("test.bytes").Value(); got != 30 {
 		t.Errorf("bytes gauge = %d, want 30", got)
@@ -70,12 +77,12 @@ func TestEvictionOrder(t *testing.T) {
 
 func TestOversizeValueNotStored(t *testing.T) {
 	c := New[string, []byte]("test", 8, func(b []byte) int64 { return int64(len(b)) }, nil)
-	c.Add("small", make([]byte, 4))
-	c.Add("huge", make([]byte, 64))
-	if _, ok := c.Get("huge"); ok {
+	put(c, "small", make([]byte, 4))
+	put(c, "huge", make([]byte, 64))
+	if _, ok := c.Peek("huge"); ok {
 		t.Error("oversize value stored")
 	}
-	if _, ok := c.Get("small"); !ok {
+	if _, ok := c.Peek("small"); !ok {
 		t.Error("oversize insert flushed an unrelated entry")
 	}
 }
@@ -250,7 +257,7 @@ func TestGetOrComputeCtxFollowerCancel(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	if v, ok := c.Get("k"); !ok || v != 42 {
+	if v, ok := c.Peek("k"); !ok || v != 42 {
 		t.Fatalf("leader result not cached after follower abandoned: %d, %v", v, ok)
 	}
 }
@@ -267,7 +274,7 @@ func TestGetOrComputeCtxLeaderScope(t *testing.T) {
 	if err != nil || v != 9 {
 		t.Fatalf("cancelled leader = %d, %v; want 9, nil (ctx scopes the wait, not the compute)", v, err)
 	}
-	if v, ok := c.Get("k"); !ok || v != 9 {
+	if v, ok := c.Peek("k"); !ok || v != 9 {
 		t.Fatal("cancelled leader's result not cached")
 	}
 }
@@ -296,16 +303,16 @@ func TestConcurrentStress(t *testing.T) {
 					return
 				}
 				if i%7 == 0 {
-					c.Get(key)
+					c.Peek(key)
 				}
 				if i%13 == 0 {
-					c.Add(key, key*1000)
+					put(c, key, key*1000)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if b := c.Bytes(); b > 64 {
+	if b := c.Stats().Bytes; b > 64 {
 		t.Errorf("bytes %d exceed budget 64 after stress", b)
 	}
 	var total int64
@@ -318,15 +325,14 @@ func TestConcurrentStress(t *testing.T) {
 
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache[string, int]
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Peek("a"); ok {
 		t.Error("nil cache hit")
 	}
-	c.Add("a", 1)
 	v, err := c.GetOrCompute("a", func() (int, error) { return 9, nil })
 	if err != nil || v != 9 {
 		t.Errorf("nil GetOrCompute = %d, %v; want pass-through 9", v, err)
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
+	if c.Len() != 0 {
 		t.Error("nil cache reports contents")
 	}
 	c.SetObs(obs.New())

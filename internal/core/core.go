@@ -180,31 +180,6 @@ func ToyParams() Params {
 	return Params{C: 16, D: 4, Q: 2, R: 1, Alpha: 0.99, Beta: 100, Delta: 1}
 }
 
-// ClosedFormK returns the closed-form asymptotic lower bound of the
-// Theorem 3.1 proof: k ≥ (γ/(2r'))·((c−12)/2)·log₂ m, where r' absorbs the
-// (q·k)^n·2^{δn} terms; we report the leading constant with r' = r + small
-// slack, which the numeric solver dominates for concrete sizes.
-func (p Params) ClosedFormK(m int, rPrime float64) float64 {
-	if rPrime <= 0 {
-		rPrime = p.R + p.Delta + math.Log2(p.Q) + 8
-	}
-	return p.Gamma() * (float64(p.C-12) / 2) * math.Log2(float64(m)) / (2 * rPrime)
-}
-
-// LowerBoundSlowdown converts the inefficiency bound into the slowdown
-// form of the abstract: s ≥ k·n/m, so m·s ≥ n·k = Ω(n·log m).
-func (p Params) LowerBoundSlowdown(n, m int) (float64, error) {
-	k, err := p.MinInefficiency(n, m)
-	if err != nil {
-		return 0, err
-	}
-	s := k * float64(n) / float64(m)
-	if s < 1 {
-		s = 1 // slowdown is at least 1 by definition
-	}
-	return s, nil
-}
-
 // UpperBoundSlowdown returns the Theorem 2.1 upper bound achieved by the
 // butterfly host: s = O(⌈n/m⌉·log m). The constant cRoute is the measured
 // or assumed per-permutation routing constant (1 reproduces the asymptotic

@@ -216,28 +216,6 @@ func TestMinInefficiencyErrors(t *testing.T) {
 	}
 }
 
-func TestClosedFormKTracksSolver(t *testing.T) {
-	p := Params{}.Defaults()
-	// The closed form is the asymptotic slope; both must grow linearly in
-	// log m with positive slope.
-	c1 := p.ClosedFormK(1<<16, 0)
-	c2 := p.ClosedFormK(1<<32, 0)
-	if c2 <= c1 || math.Abs(c2/c1-2) > 0.2 {
-		t.Errorf("closed form not linear in log m: %f %f", c1, c2)
-	}
-}
-
-func TestLowerBoundSlowdownAtLeastOne(t *testing.T) {
-	p := Params{}.Defaults()
-	s, err := p.LowerBoundSlowdown(1024, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s < 1 {
-		t.Errorf("slowdown bound %f < 1", s)
-	}
-}
-
 func TestUpperBoundSlowdown(t *testing.T) {
 	// n = m: s = log2 m.
 	if got := UpperBoundSlowdown(1024, 1024, 1); math.Abs(got-10) > 1e-9 {

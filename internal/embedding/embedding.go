@@ -182,21 +182,6 @@ func (e *Embedding) Validate() error {
 	return nil
 }
 
-// Identity returns the identity embedding of a guest into a host on the
-// same vertex set (host must contain... nothing: paths are routed, so any
-// connected host works; dilation reflects how well the host contains the
-// guest).
-func Identity(guest, host *graph.Graph) (*Embedding, error) {
-	if guest.N() != host.N() {
-		return nil, fmt.Errorf("embedding: identity needs equal sizes (%d vs %d)", guest.N(), host.N())
-	}
-	f := make([]int, guest.N())
-	for i := range f {
-		f[i] = i
-	}
-	return New(guest, host, f)
-}
-
 // Random returns an embedding with a uniformly random balanced placement:
 // the guests are dealt to hosts ⌈n/m⌉ at a time in shuffled order.
 func Random(guest, host *graph.Graph, rng *rand.Rand) (*Embedding, error) {

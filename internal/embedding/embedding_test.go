@@ -10,12 +10,21 @@ import (
 	"universalnet/internal/topology"
 )
 
+// identity places guest i on host i.
+func identity(n int) []int {
+	f := make([]int, n)
+	for i := range f {
+		f[i] = i
+	}
+	return f
+}
+
 func TestIdentityEmbeddingRingIntoRing(t *testing.T) {
 	g, err := topology.Ring(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Identity(g, g)
+	e, err := New(g, g, identity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +48,7 @@ func TestIdentityEmbeddingCompleteIntoRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Identity(k, ring)
+	e, err := New(k, ring, identity(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +61,6 @@ func TestIdentityEmbeddingCompleteIntoRing(t *testing.T) {
 	}
 	if e.Congestion() < 4 {
 		t.Errorf("congestion = %d suspiciously low for K8 on a ring", e.Congestion())
-	}
-}
-
-func TestIdentitySizeMismatch(t *testing.T) {
-	a, _ := topology.Ring(8)
-	b, _ := topology.Ring(10)
-	if _, err := Identity(a, b); err == nil {
-		t.Error("size mismatch accepted")
 	}
 }
 
@@ -279,7 +280,7 @@ func TestGreedyEmbeddingLoadCap(t *testing.T) {
 
 func TestEmbeddingValidateCatchesCorruption(t *testing.T) {
 	g, _ := topology.Ring(6)
-	e, err := Identity(g, g)
+	e, err := New(g, g, identity(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestEmbeddingValidateCatchesCorruption(t *testing.T) {
 		t.Error("corrupted path accepted")
 	}
 	// Remove a path entirely.
-	e2, _ := Identity(g, g)
+	e2, _ := New(g, g, identity(6))
 	for ge := range e2.Paths {
 		delete(e2.Paths, ge)
 		break

@@ -13,8 +13,8 @@ import (
 // degrees. The Cheeger inequalities sandwich h(G) by the spectral gap:
 // (1−λ₂)/2 ≤ h(G) ≤ √(2(1−λ₂)).
 
-// EdgeBoundary returns the number of edges with exactly one endpoint in A.
-func EdgeBoundary(g *graph.Graph, inA []bool) int {
+// edgeBoundary returns the number of edges with exactly one endpoint in A.
+func edgeBoundary(g *graph.Graph, inA []bool) int {
 	cut := 0
 	for _, e := range g.Edges() {
 		if inA[e.U] != inA[e.V] {
@@ -24,8 +24,8 @@ func EdgeBoundary(g *graph.Graph, inA []bool) int {
 	return cut
 }
 
-// Volume returns Σ_{v ∈ A} deg(v).
-func Volume(g *graph.Graph, inA []bool) int {
+// volume returns Σ_{v ∈ A} deg(v).
+func volume(g *graph.Graph, inA []bool) int {
 	vol := 0
 	for v := 0; v < g.N(); v++ {
 		if inA[v] {
@@ -36,7 +36,8 @@ func Volume(g *graph.Graph, inA []bool) int {
 }
 
 // ExactConductance computes h(G) exactly by enumerating all cuts; n ≤ 24.
-// It returns the conductance and a witness side.
+// It returns the conductance and a witness side, the side of smaller
+// volume.
 func ExactConductance(g *graph.Graph) (h float64, witness []int, err error) {
 	n := g.N()
 	if n > 24 {
@@ -49,20 +50,24 @@ func ExactConductance(g *graph.Graph) (h float64, witness []int, err error) {
 	best := math.Inf(1)
 	var bestSet []int
 	inA := make([]bool, n)
-	for mask := 1; mask < 1<<(n-1); mask++ { // fix vertex n−1 outside A: halves the work
+	// Vertex n−1 stays outside A, which halves the work: each cut is met
+	// once and scored by its side of smaller volume, which may be V \ A.
+	for mask := 1; mask < 1<<(n-1); mask++ {
 		for v := 0; v < n; v++ {
 			inA[v] = mask&(1<<v) != 0
 		}
-		vol := Volume(g, inA)
-		if vol == 0 || 2*vol > totalVol {
+		vol := volume(g, inA)
+		small := min(vol, totalVol-vol)
+		if small == 0 {
 			continue
 		}
-		ratio := float64(EdgeBoundary(g, inA)) / float64(vol)
+		ratio := float64(edgeBoundary(g, inA)) / float64(small)
 		if ratio < best {
 			best = ratio
+			witnessSide := small == vol
 			bestSet = bestSet[:0]
 			for v := 0; v < n; v++ {
-				if inA[v] {
+				if inA[v] == witnessSide {
 					bestSet = append(bestSet, v)
 				}
 			}

@@ -1,9 +1,8 @@
 // Package expander provides the expansion machinery behind Definition 3.8
 // and Lemma 3.15: (α,β) vertex-expansion testing (exact for small graphs,
-// sampled for large ones), spectral-gap estimation by power iteration, the
-// Tanner bound converting a spectral gap into certified vertex expansion,
-// and the explicit Gabber–Galil expander family as a deterministic
-// alternative to random regular overlays.
+// sampled for large ones), spectral-gap estimation by power iteration, and
+// the Tanner bound converting a spectral gap into certified vertex
+// expansion.
 package expander
 
 import (
@@ -26,11 +25,6 @@ func NeighborhoodSize(g *graph.Graph, a []int) int {
 		}
 	}
 	return len(mark)
-}
-
-// IsExpanderForSet reports whether the single set A satisfies |Γ(A)| ≥ β·|A|.
-func IsExpanderForSet(g *graph.Graph, a []int, beta float64) bool {
-	return float64(NeighborhoodSize(g, a)) >= beta*float64(len(a))
 }
 
 // ExactExpansion computes the exact expansion profile
@@ -248,33 +242,6 @@ func Certify(g *graph.Graph, alpha float64, samples, iters int, seed int64) (Cer
 	}, nil
 }
 
-// GabberGalil returns the explicit Gabber–Galil-type expander on N² vertices
-// (the points of Z_N × Z_N): (x, y) is joined to (x±y, y), (x±y+1, y),
-// (x, y±x) and (x, y±x+1), arithmetic mod N. The graph is simple with degree
-// at most 8; its spectral gap is bounded away from 0 uniformly in N.
-func GabberGalil(N int) (*graph.Graph, error) {
-	if N < 2 {
-		return nil, fmt.Errorf("expander: Gabber–Galil needs N ≥ 2, got %d", N)
-	}
-	n := N * N
-	idx := func(x, y int) int { return ((x%N+N)%N)*N + (y%N+N)%N }
-	b := graph.NewBuilder(n)
-	for x := 0; x < N; x++ {
-		for y := 0; y < N; y++ {
-			v := idx(x, y)
-			for _, w := range []int{
-				idx(x+y, y), idx(x-y, y), idx(x+y+1, y), idx(x-y-1, y),
-				idx(x, y+x), idx(x, y-x), idx(x, y+x+1), idx(x, y-x-1),
-			} {
-				if w != v {
-					b.MustAddEdge(v, w)
-				}
-			}
-		}
-	}
-	return b.Build(), nil
-}
-
 // FiedlerVector approximates the eigenvector belonging to the largest
 // non-principal |eigenvalue| of the normalized adjacency (the vector power
 // iteration converges to after deflation). Splitting vertices at its median
@@ -318,33 +285,6 @@ func FiedlerVector(g *graph.Graph, iters int, seed int64) ([]float64, error) {
 		x, y = y, x
 	}
 	return x, nil
-}
-
-// SpectralBisectionUpperBound returns the size of the explicit balanced cut
-// obtained by splitting the Fiedler vector at its median — an upper bound on
-// the true bisection width.
-func SpectralBisectionUpperBound(g *graph.Graph, iters int, seed int64) (int, error) {
-	vec, err := FiedlerVector(g, iters, seed)
-	if err != nil {
-		return 0, err
-	}
-	n := g.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return vec[order[a]] < vec[order[b]] })
-	inA := make([]bool, n)
-	for _, v := range order[:n/2] {
-		inA[v] = true
-	}
-	cut := 0
-	for _, e := range g.Edges() {
-		if inA[e.U] != inA[e.V] {
-			cut++
-		}
-	}
-	return cut, nil
 }
 
 // SpectralBisectionLowerBound returns the Cheeger-type lower bound on the

@@ -3,6 +3,7 @@ package expander
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"universalnet/internal/graph"
@@ -30,16 +31,6 @@ func TestNeighborhoodSize(t *testing.T) {
 	}
 	if s := NeighborhoodSize(g, nil); s != 0 {
 		t.Errorf("|Γ(∅)| = %d", s)
-	}
-}
-
-func TestIsExpanderForSet(t *testing.T) {
-	g := ring(t, 8)
-	if !IsExpanderForSet(g, []int{0}, 2.0) {
-		t.Error("single vertex should 2-expand on a ring")
-	}
-	if IsExpanderForSet(g, []int{0}, 2.5) {
-		t.Error("single vertex cannot 2.5-expand on a ring")
 	}
 }
 
@@ -218,57 +209,6 @@ func TestCertifyRandomRegular(t *testing.T) {
 	}
 }
 
-func TestGabberGalil(t *testing.T) {
-	g, err := GabberGalil(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 64 {
-		t.Errorf("n = %d", g.N())
-	}
-	if g.MaxDegree() > 8 {
-		t.Errorf("degree %d > 8", g.MaxDegree())
-	}
-	if !g.IsConnected() {
-		t.Error("Gabber–Galil graph disconnected")
-	}
-	lam, err := SpectralGap(g, 400, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lam > 0.98 {
-		t.Errorf("Gabber–Galil λ₂ = %.4f; no gap", lam)
-	}
-	if _, err := GabberGalil(1); err == nil {
-		t.Error("N=1 accepted")
-	}
-}
-
-func TestGabberGalilGapBeatsTorus(t *testing.T) {
-	gg, err := GabberGalil(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torus, err := topology.Torus(144)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lamGG, err := SpectralGap(gg, 600, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lamT, err := SpectralGap(torus, 600, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lamGG >= lamT {
-		t.Errorf("Gabber–Galil λ₂ %.4f not smaller than torus λ₂ %.4f", lamGG, lamT)
-	}
-}
-
 func TestExactConductanceCycle(t *testing.T) {
 	// C8: best cut is an arc of 4: boundary 2, volume 8 → h = 1/4.
 	g := ring(t, 8)
@@ -297,6 +237,41 @@ func TestExactConductanceComplete(t *testing.T) {
 	}
 	if math.Abs(h-2.0/3) > 1e-12 {
 		t.Errorf("h(K4) = %f, want 2/3", h)
+	}
+}
+
+// TestExactConductanceSmallSideHoldsLastVertex: a K5 joined by one bridge
+// to a triangle has h = 1/7, cut at the bridge with the triangle as the
+// small side. The enumeration keeps vertex n−1 out of A, so the cut must be
+// scored by its complement when the triangle holds n−1.
+func TestExactConductanceSmallSideHoldsLastVertex(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		label    func(v int) int
+		triangle []int
+	}{
+		{"triangle-last", func(v int) int { return v }, []int{5, 6, 7}},
+		{"triangle-first", func(v int) int { return 7 - v }, []int{0, 1, 2}},
+	} {
+		b := graph.NewBuilder(8)
+		for u := 0; u < 5; u++ {
+			for v := u + 1; v < 5; v++ {
+				b.MustAddEdge(tc.label(u), tc.label(v))
+			}
+		}
+		for _, e := range [][2]int{{4, 5}, {5, 6}, {5, 7}, {6, 7}} {
+			b.MustAddEdge(tc.label(e[0]), tc.label(e[1]))
+		}
+		h, witness, err := ExactConductance(b.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(h-1.0/7) > 1e-12 {
+			t.Errorf("%s: h = %f, want 1/7", tc.name, h)
+		}
+		if !slices.Equal(witness, tc.triangle) {
+			t.Errorf("%s: witness %v, want %v", tc.name, witness, tc.triangle)
+		}
 	}
 }
 
@@ -348,10 +323,10 @@ func TestVolumeAndBoundary(t *testing.T) {
 	g := ring(t, 6)
 	inA := make([]bool, 6)
 	inA[0], inA[1] = true, true
-	if v := Volume(g, inA); v != 4 {
+	if v := volume(g, inA); v != 4 {
 		t.Errorf("volume = %d, want 4", v)
 	}
-	if b := EdgeBoundary(g, inA); b != 2 {
+	if b := edgeBoundary(g, inA); b != 2 {
 		t.Errorf("boundary = %d, want 2", b)
 	}
 }
@@ -374,13 +349,6 @@ func TestFiedlerVectorAndBisectionBounds(t *testing.T) {
 	}
 	if len(vec) != 10 {
 		t.Fatalf("vector length %d", len(vec))
-	}
-	cut, err := SpectralBisectionUpperBound(g, 500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut != 1 {
-		t.Errorf("Fiedler cut = %d, want the bridge (1)", cut)
 	}
 	best, err := BestBalancedCutUpperBound(g, 500, 3)
 	if err != nil {

@@ -227,18 +227,6 @@ func Union(g, h *Graph) *Graph {
 	return b.Build()
 }
 
-// Residual returns g with all edges of h removed (vertex set unchanged):
-// the graph G' = G \ G₀ from the proof of Proposition 3.6(b).
-func Residual(g, h *Graph) *Graph {
-	b := NewBuilder(g.N())
-	for _, e := range g.Edges() {
-		if !h.HasEdge(e.U, e.V) {
-			b.MustAddEdge(e.U, e.V)
-		}
-	}
-	return b.Build()
-}
-
 // IsSubgraphOf reports whether every edge of g is an edge of h and
 // g.N() ≤ h.N().
 func (g *Graph) IsSubgraphOf(h *Graph) bool {

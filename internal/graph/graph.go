@@ -32,18 +32,6 @@ func NewEdge(u, v int) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Other returns the endpoint of e different from w. It panics if w is not an
-// endpoint of e.
-func (e Edge) Other(w int) int {
-	switch w {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: vertex %d not an endpoint of edge %v", w, e))
-}
-
 // Graph is an immutable, undirected, simple graph on vertices 0..N-1.
 // Adjacency lists are sorted ascending, enabling O(log d) edge queries.
 type Graph struct {
@@ -298,15 +286,6 @@ func (g *Graph) IsRegular(d int) bool {
 	return true
 }
 
-// DegreeHistogram returns a map degree → number of vertices with that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, a := range g.adj {
-		h[len(a)]++
-	}
-	return h
-}
-
 // Validate checks internal invariants: sorted adjacency, symmetry, no loops,
 // no duplicates, consistent edge count. Graphs produced by Builder always
 // pass; Validate guards hand-constructed test fixtures and deserialized data.
@@ -333,15 +312,6 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: edge count %d inconsistent with adjacency sum %d", g.edges, total)
 	}
 	return nil
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	adj := make([][]int, len(g.adj))
-	for v := range g.adj {
-		adj[v] = append([]int(nil), g.adj[v]...)
-	}
-	return &Graph{adj: adj, edges: g.edges}
 }
 
 // Equal reports whether g and h are identical as labeled graphs.
@@ -437,17 +407,4 @@ func (g *Graph) EulerianOrientation() ([]Arc, error) {
 		panic(fmt.Sprintf("graph: Eulerian orientation produced %d arcs for %d edges", len(arcs), g.M()))
 	}
 	return arcs, nil
-}
-
-// OutEdgesByVertex groups an orientation's arcs by source vertex, the form
-// used by the Lemma 3.3 counting argument ("list the c/2 edges leaving P_i").
-func OutEdgesByVertex(n int, arcs []Arc) [][]int {
-	out := make([][]int, n)
-	for _, a := range arcs {
-		out[a.From] = append(out[a.From], a.To)
-	}
-	for v := range out {
-		sort.Ints(out[v])
-	}
-	return out
 }

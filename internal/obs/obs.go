@@ -331,12 +331,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return quantileBuckets(h.bounds, counts, h.n.Load(), q)
 }
 
-// Quantile is the snapshot form of Histogram.Quantile.
-func (hs HistogramSnapshot) Quantile(q float64) float64 {
-	return quantileBuckets(hs.Bounds, hs.Counts, hs.Count, q)
-}
-
-// quantileBuckets is the shared linear-interpolation estimator.
+// quantileBuckets is Quantile's linear-interpolation estimator over a copy
+// of the bucket counts.
 func quantileBuckets(bounds []int64, counts []int64, total int64, q float64) float64 {
 	if total <= 0 || len(counts) == 0 {
 		return 0

@@ -248,24 +248,6 @@ func TestQuantileOverflowAndEmpty(t *testing.T) {
 	if nilH.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram Quantile non-zero")
 	}
-	var empty HistogramSnapshot
-	if empty.Quantile(0.9) != 0 {
-		t.Fatal("empty snapshot Quantile non-zero")
-	}
-}
-
-func TestQuantileSnapshotMatchesLive(t *testing.T) {
-	r := New()
-	h := r.Histogram("h", []int64{100, 1000, 10000})
-	for i := int64(1); i <= 1000; i++ {
-		h.Observe(i * 7 % 12000)
-	}
-	hs := r.Snapshot().Histograms["h"]
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		if live, snap := h.Quantile(q), hs.Quantile(q); live != snap {
-			t.Fatalf("q=%v: live %v != snapshot %v", q, live, snap)
-		}
-	}
 }
 
 // TestRuntimeSampler: one Sample populates the health instruments.

@@ -2,7 +2,6 @@ package pebble
 
 import (
 	"fmt"
-	"sort"
 
 	"universalnet/internal/graph"
 )
@@ -162,12 +161,4 @@ func (st *State) PickLightest(t0 int) func(i int, gens []int) int {
 		}
 		return best
 	}
-}
-
-// SortedCopy returns a sorted copy of xs (test helper shared by fragment
-// assertions).
-func SortedCopy(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	return out
 }

@@ -167,10 +167,6 @@ func TestPickersAndHelpers(t *testing.T) {
 	if PickFirst(3, []int{7, 8, 9}) != 0 {
 		t.Error("PickFirst not 0")
 	}
-	s := SortedCopy([]int{3, 1, 2})
-	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Errorf("SortedCopy = %v", s)
-	}
 	if topQuarterSet([]vertexWeight{{v: 1, weight: 5}, {v: 2, weight: 9}, {v: 3, weight: 1}, {v: 4, weight: 7}}, 1)[2] != true {
 		t.Error("topQuarterSet missed the heaviest vertex")
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"universalnet/internal/graph"
 	"universalnet/internal/sim"
 )
 
@@ -132,6 +131,3 @@ func VerifyCarries(pr *Protocol, c *sim.Computation) error {
 	}
 	return nil
 }
-
-// guestOf is a tiny helper for tests that need the protocol's guest.
-func guestOf(pr *Protocol) *graph.Graph { return pr.Guest }

@@ -127,18 +127,6 @@ func TestReplayDetectsBrokenDataflow(t *testing.T) {
 	}
 }
 
-func TestGuestOfHelper(t *testing.T) {
-	guest := tinyGuest(t)
-	host := tinyHost(t, 3)
-	pr, err := BuildEmbeddingProtocol(guest, host, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if guestOf(pr) != guest {
-		t.Error("guestOf returned a different graph")
-	}
-}
-
 func TestTreeCacheProtocolCarriesComputation(t *testing.T) {
 	// Cross-package in spirit: the tree-cached host's protocol is produced
 	// in internal/universal, but its carrying property is checked here via

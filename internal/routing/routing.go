@@ -32,14 +32,6 @@ type Problem struct {
 	Pairs []Pair
 }
 
-// NewProblem validates vertex ranges and returns a Problem.
-func NewProblem(n int, pairs []Pair) (*Problem, error) {
-	if err := checkPairs(n, pairs); err != nil {
-		return nil, err
-	}
-	return &Problem{N: n, Pairs: append([]Pair(nil), pairs...)}, nil
-}
-
 // checkPairs rejects the first pair with an endpoint outside [0, n).
 func checkPairs(n int, pairs []Pair) error {
 	for _, p := range pairs {
@@ -51,8 +43,8 @@ func checkPairs(n int, pairs []Pair) error {
 }
 
 // H returns the h of the h–h problem: the largest number of packets any
-// single node must send or receive. Every pair must lie in [0, N), as
-// NewProblem checks and the routers check before calling H.
+// single node must send or receive. Every pair must lie in [0, N), as the
+// routers check with checkPairs before calling H.
 func (p *Problem) H() int {
 	count := make([]int, 2*p.N)
 	src, dst := count[:p.N], count[p.N:]
@@ -64,10 +56,6 @@ func (p *Problem) H() int {
 	}
 	return h
 }
-
-// IsPermutation reports whether the problem is a (partial) permutation:
-// every source and every destination occurs at most once.
-func (p *Problem) IsPermutation() bool { return p.H() <= 1 }
 
 // RandomPermutation returns a full random permutation routing problem.
 func RandomPermutation(rng *rand.Rand, n int) *Problem {
@@ -88,19 +76,6 @@ func RandomHH(rng *rand.Rand, n, h int) *Problem {
 		perm := rng.Perm(n)
 		for s, d := range perm {
 			pairs = append(pairs, Pair{Src: s, Dst: d})
-		}
-	}
-	return &Problem{N: n, Pairs: pairs}
-}
-
-// Transpose returns the transpose permutation on an N×N mesh indexed
-// row-major: (x, y) → (y, x). A classic hard instance for greedy routing.
-func Transpose(N int) *Problem {
-	n := N * N
-	pairs := make([]Pair, 0, n)
-	for x := 0; x < N; x++ {
-		for y := 0; y < N; y++ {
-			pairs = append(pairs, Pair{Src: x*N + y, Dst: y*N + x})
 		}
 	}
 	return &Problem{N: n, Pairs: pairs}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,17 +11,11 @@ import (
 )
 
 func TestProblemH(t *testing.T) {
-	p, err := NewProblem(4, []Pair{{0, 1}, {0, 2}, {3, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &Problem{N: 4, Pairs: []Pair{{0, 1}, {0, 2}, {3, 2}}}
 	if p.H() != 2 {
 		t.Errorf("H = %d, want 2", p.H())
 	}
-	if p.IsPermutation() {
-		t.Error("non-permutation classified as permutation")
-	}
-	if _, err := NewProblem(2, []Pair{{0, 5}}); err == nil {
+	if checkPairs(2, []Pair{{0, 5}}) == nil {
 		t.Error("out-of-range pair accepted")
 	}
 }
@@ -28,29 +23,15 @@ func TestProblemH(t *testing.T) {
 func TestRandomGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := RandomPermutation(rng, 16)
-	if !p.IsPermutation() || len(p.Pairs) != 16 {
+	if p.H() != 1 || len(p.Pairs) != 16 {
 		t.Error("RandomPermutation not a permutation")
 	}
 	hh := RandomHH(rng, 10, 3)
 	if hh.H() != 3 || len(hh.Pairs) != 30 {
 		t.Errorf("RandomHH: h=%d pairs=%d", hh.H(), len(hh.Pairs))
 	}
-	tr := Transpose(4)
-	if !tr.IsPermutation() {
-		t.Error("transpose not a permutation")
-	}
-	// (1,2) → (2,1): src 1*4+2=6 → dst 2*4+1=9.
-	found := false
-	for _, pr := range tr.Pairs {
-		if pr.Src == 6 && pr.Dst == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("transpose pair (6→9) missing")
-	}
 	br := BitReversal(3)
-	if !br.IsPermutation() {
+	if br.H() != 1 {
 		t.Error("bit reversal not a permutation")
 	}
 	for _, pr := range br.Pairs {
@@ -106,7 +87,7 @@ func TestGreedyRouterSelfPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewProblem(8, []Pair{{3, 3}, {0, 1}})
+	p := &Problem{N: 8, Pairs: []Pair{{3, 3}, {0, 1}}}
 	res, err := (&GreedyRouter{}).Route(g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +106,7 @@ func TestGreedyRouterUnreachable(t *testing.T) {
 	b.MustAddEdge(0, 1)
 	b.MustAddEdge(2, 3)
 	disc := b.Build()
-	p, _ := NewProblem(4, []Pair{{0, 3}})
+	p := &Problem{N: 4, Pairs: []Pair{{0, 3}}}
 	if _, err := (&GreedyRouter{}).Route(disc, p); err == nil {
 		t.Error("unreachable destination accepted")
 	}
@@ -133,7 +114,7 @@ func TestGreedyRouterUnreachable(t *testing.T) {
 
 func TestGreedyRouterSizeMismatch(t *testing.T) {
 	g, _ := topology.Ring(8)
-	p, _ := NewProblem(4, []Pair{{0, 1}})
+	p := &Problem{N: 4, Pairs: []Pair{{0, 1}}}
 	if _, err := (&GreedyRouter{}).Route(g, p); err == nil {
 		t.Error("size mismatch accepted")
 	}
@@ -144,7 +125,7 @@ func TestValiantRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Transpose(8)
+	p := BitReversal(6)
 	r := &ValiantRouter{Mode: MultiPort, Seed: 7}
 	res, err := r.Route(g, p)
 	if err != nil {
@@ -187,7 +168,7 @@ func TestDimensionOrderRouterTorusWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single packet that should take the wrap path: (0,0) → (0,5) is 1 hop.
-	p, _ := NewProblem(N*N, []Pair{{0, 5}})
+	p := &Problem{N: N * N, Pairs: []Pair{{0, 5}}}
 	r := &DimensionOrderRouter{N: N, Wrap: true, Mode: MultiPort}
 	res, err := r.Route(g, p)
 	if err != nil {
@@ -200,7 +181,7 @@ func TestDimensionOrderRouterTorusWrap(t *testing.T) {
 
 func TestDimensionOrderMismatch(t *testing.T) {
 	g, _ := topology.Mesh(16)
-	p, _ := NewProblem(16, nil)
+	p := &Problem{N: 16}
 	r := &DimensionOrderRouter{N: 5}
 	if _, err := r.Route(g, p); err == nil {
 		t.Error("mismatched N accepted")
@@ -295,6 +276,31 @@ func TestBenesPathsRandomPermutations(t *testing.T) {
 			}
 			if err := VerifyBenesPaths(d, perm, paths); err != nil {
 				t.Fatalf("d=%d trial %d: %v", d, trial, err)
+			}
+		}
+	}
+}
+
+// TestPathScratchReuseMatchesBenesPaths: one scratch routing permutation
+// after permutation, as BuildBenesProtocol routes its decomposition rounds,
+// returns each time what a fresh BenesPaths returns, so no state of one
+// permutation leaks into the next.
+func TestPathScratchReuseMatchesBenesPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for d := 1; d <= 6; d++ {
+		ps := NewPathScratch(d)
+		for trial := 0; trial < 20; trial++ {
+			perm := rng.Perm(1 << d)
+			got, err := ps.Paths(perm)
+			if err != nil {
+				t.Fatalf("d=%d trial %d: %v", d, trial, err)
+			}
+			want, err := BenesPaths(d, perm)
+			if err != nil {
+				t.Fatalf("d=%d trial %d: %v", d, trial, err)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+				t.Fatalf("d=%d trial %d: reused scratch routed %v, fresh routing %v", d, trial, got, want)
 			}
 		}
 	}
@@ -528,7 +534,7 @@ func TestLowerBoundSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single packet at distance 8.
-	p, _ := NewProblem(16, []Pair{{0, 8}})
+	p := &Problem{N: 16, Pairs: []Pair{{0, 8}}}
 	lb, err := LowerBoundSteps(g, p)
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +548,7 @@ func TestLowerBoundSteps(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = Pair{Src: i, Dst: (i + 8) % 16}
 	}
-	p2, _ := NewProblem(16, pairs)
+	p2 := &Problem{N: 16, Pairs: pairs}
 	lb2, err := LowerBoundSteps(g, p2)
 	if err != nil {
 		t.Fatal(err)
@@ -557,7 +563,7 @@ func TestLowerBoundSteps(t *testing.T) {
 			heavy = append(heavy, Pair{Src: i, Dst: (i + 8) % 16})
 		}
 	}
-	p3, _ := NewProblem(16, heavy)
+	p3 := &Problem{N: 16, Pairs: heavy}
 	lb3, err := LowerBoundSteps(g, p3)
 	if err != nil {
 		t.Fatal(err)
@@ -580,7 +586,7 @@ func TestLowerBoundStepsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewProblem(4, nil)
+	p := &Problem{N: 4}
 	if _, err := LowerBoundSteps(g, p); err == nil {
 		t.Error("size mismatch accepted")
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,7 +46,7 @@ func TestBitonicSorts(t *testing.T) {
 			t.Errorf("bitonic fails for n=%d", n)
 		}
 		// Depth = log n (log n + 1)/2.
-		k := topology.Log2(n)
+		k := bits.Len(uint(n)) - 1
 		if want := k * (k + 1) / 2; s.Depth() != want {
 			t.Errorf("n=%d depth %d, want %d", n, s.Depth(), want)
 		}
@@ -187,17 +188,17 @@ func TestSortingRouterRejectsNonPermutation(t *testing.T) {
 	}
 	r := &SortingRouter{Schedule: OddEvenTransposition(n)}
 	// Two packets from the same node.
-	p, _ := NewProblem(n, []Pair{{0, 1}, {0, 2}, {1, 0}, {2, 3}})
+	p := &Problem{N: n, Pairs: []Pair{{0, 1}, {0, 2}, {1, 0}, {2, 3}}}
 	if _, err := r.Route(g, p); err == nil {
 		t.Error("h>1 problem accepted")
 	}
 	// Missing source.
-	p2, _ := NewProblem(n, []Pair{{0, 1}, {1, 0}, {2, 3}})
+	p2 := &Problem{N: n, Pairs: []Pair{{0, 1}, {1, 0}, {2, 3}}}
 	if _, err := r.Route(g, p2); err == nil {
 		t.Error("partial permutation accepted")
 	}
 	// Duplicate destination.
-	p3, _ := NewProblem(n, []Pair{{0, 1}, {1, 1}, {2, 3}, {3, 0}})
+	p3 := &Problem{N: n, Pairs: []Pair{{0, 1}, {1, 1}, {2, 3}, {3, 0}}}
 	if _, err := r.Route(g, p3); err == nil {
 		t.Error("non-injective destination accepted")
 	}

@@ -318,7 +318,7 @@ func TestStepPacketsRejectsNonEdgeHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewProblem(8, []Pair{{0, 4}})
+	p := &Problem{N: 8, Pairs: []Pair{{0, 4}}}
 	for _, v := range []int{4, 0, -1, 8} {
 		rules := stepRules{
 			maxStep: 10,
@@ -336,7 +336,7 @@ func TestStepPacketsRejectsNonEdgeHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ = NewProblem(16, []Pair{{0, 12}})
+	p = &Problem{N: 16, Pairs: []Pair{{0, 12}}}
 	_, err = (&DimensionOrderRouter{N: 4, Wrap: true}).Route(mesh, p)
 	if want := "routing: packet 0 hops from 0 to 12, which is not a neighbor"; err == nil || err.Error() != want {
 		t.Errorf("torus route on a mesh: error %v, want %q", err, want)
@@ -344,7 +344,7 @@ func TestStepPacketsRejectsNonEdgeHop(t *testing.T) {
 }
 
 // TestRoutersRejectOutOfRangePairs: both packet-stepping routers reject a
-// pair outside [0, N) with NewProblem's error before reading any table.
+// pair outside [0, N) with checkPairs's error before reading any table.
 func TestRoutersRejectOutOfRangePairs(t *testing.T) {
 	g, err := topology.Torus(16)
 	if err != nil {
@@ -356,11 +356,11 @@ func TestRoutersRejectOutOfRangePairs(t *testing.T) {
 		&DimensionOrderRouter{N: 4, Wrap: true},
 	}
 	for _, pr := range []Pair{{16, 0}, {-1, 0}, {0, 16}, {0, -1}, {16, 16}} {
-		_, want := NewProblem(16, []Pair{{1, 2}, pr})
-		if want == nil {
-			t.Fatalf("NewProblem accepted %v", pr)
-		}
 		p := &Problem{N: 16, Pairs: []Pair{{1, 2}, pr}}
+		want := checkPairs(p.N, p.Pairs)
+		if want == nil {
+			t.Fatalf("checkPairs accepted %v", pr)
+		}
 		for _, r := range routers {
 			_, err := r.Route(g, p)
 			if err == nil || err.Error() != want.Error() {

@@ -58,7 +58,7 @@ func TestXTree(t *testing.T) {
 func TestTorus3D(t *testing.T) {
 	g := checkValid(t)(Torus3D(3))
 	if g.N() != 27 || !g.IsRegular(6) {
-		t.Errorf("3D torus wrong: %v %v", g, g.DegreeHistogram())
+		t.Errorf("3D torus wrong: %v degrees [%d, %d]", g, g.MinDegree(), g.MaxDegree())
 	}
 	if !g.IsConnected() {
 		t.Error("3D torus disconnected")

@@ -206,28 +206,6 @@ func DeBruijn(d int) (*graph.Graph, error) {
 // IsPowerOfTwo reports whether x is a positive power of two.
 func IsPowerOfTwo(x int) bool { return x > 0 && x&(x-1) == 0 }
 
-// Log2 returns floor(log2 x) for x ≥ 1.
-func Log2(x int) int {
-	if x < 1 {
-		panic("topology: Log2 of non-positive value")
-	}
-	l := 0
-	for x > 1 {
-		x >>= 1
-		l++
-	}
-	return l
-}
-
-// Log2Ceil returns ceil(log2 x) for x ≥ 1.
-func Log2Ceil(x int) int {
-	l := Log2(x)
-	if 1<<l < x {
-		l++
-	}
-	return l
-}
-
 // SideLength returns √n if n is a perfect square, else an error. Meshes and
 // tori in the paper assume n = N².
 func SideLength(n int) (int, error) {

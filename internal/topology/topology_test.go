@@ -124,7 +124,7 @@ func TestCubeConnectedCycles(t *testing.T) {
 	d := 3
 	g := checkValid(t)(CubeConnectedCycles(d))
 	if g.N() != d*(1<<d) || !g.IsRegular(3) {
-		t.Errorf("CCC wrong: %v hist=%v", g, g.DegreeHistogram())
+		t.Errorf("CCC wrong: %v degrees [%d, %d]", g, g.MinDegree(), g.MaxDegree())
 	}
 	if !g.IsConnected() {
 		t.Error("CCC disconnected")
@@ -189,7 +189,7 @@ func TestMultitorus(t *testing.T) {
 	// 12×12 torus with 4×4 blocks.
 	g := checkValid(t)(Multitorus(4, 144))
 	if g.MinDegree() < 4 || g.MaxDegree() > 8 {
-		t.Errorf("multitorus degrees out of [4,8]: %v", g.DegreeHistogram())
+		t.Errorf("multitorus degrees [%d, %d] out of [4,8]", g.MinDegree(), g.MaxDegree())
 	}
 	torus := checkValid(t)(Torus(144))
 	if !torus.IsSubgraphOf(g) {
@@ -265,7 +265,7 @@ func TestRandomRegular(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !g.IsRegular(tc.d) {
-			t.Errorf("(%d,%d): not regular: %v", tc.n, tc.d, g.DegreeHistogram())
+			t.Errorf("(%d,%d): not regular: degrees [%d, %d]", tc.n, tc.d, g.MinDegree(), g.MaxDegree())
 		}
 	}
 }
@@ -292,7 +292,7 @@ func TestRandomWithDegreeSequenceForbidden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !g.IsRegular(4) {
-		t.Errorf("not 4-regular: %v", g.DegreeHistogram())
+		t.Errorf("not 4-regular: degrees [%d, %d]", g.MinDegree(), g.MaxDegree())
 	}
 	for _, e := range forbidden.Edges() {
 		if g.HasEdge(e.U, e.V) {
@@ -349,15 +349,10 @@ func TestG0SampleGuest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !guest.IsRegular(16) {
-		t.Errorf("guest degrees: %v", guest.DegreeHistogram())
+		t.Errorf("guest degrees [%d, %d], want 16", guest.MinDegree(), guest.MaxDegree())
 	}
 	if !g0.Graph.IsSubgraphOf(guest) {
 		t.Error("G0 not a subgraph of sampled guest")
-	}
-	// Residual graph is edge-disjoint from G0 by construction.
-	res := graph.Residual(guest, g0.Graph)
-	if res.M() != guest.M()-g0.Graph.M() {
-		t.Errorf("residual edge count %d, want %d", res.M(), guest.M()-g0.Graph.M())
 	}
 	// c below max degree must fail.
 	if _, err := g0.SampleGuest(rng, 6); err == nil {
@@ -409,12 +404,6 @@ func TestBuildG0FromHostSize(t *testing.T) {
 }
 
 func TestLogHelpers(t *testing.T) {
-	if Log2(1) != 0 || Log2(2) != 1 || Log2(3) != 1 || Log2(1024) != 10 {
-		t.Error("Log2 wrong")
-	}
-	if Log2Ceil(1) != 0 || Log2Ceil(3) != 2 || Log2Ceil(1024) != 10 || Log2Ceil(1025) != 11 {
-		t.Error("Log2Ceil wrong")
-	}
 	if !IsPowerOfTwo(64) || IsPowerOfTwo(0) || IsPowerOfTwo(12) {
 		t.Error("IsPowerOfTwo wrong")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"universalnet/internal/cache"
 	"universalnet/internal/graph"
-	"universalnet/internal/obs"
 	"universalnet/internal/pebble"
 )
 
@@ -43,10 +42,6 @@ func protocolSize(pr *pebble.Protocol) int64 {
 	}
 	return int64(48*ops + 24*len(pr.Steps) + 64)
 }
-
-// SetObs wires the host's protocol cache counters
-// (universal.treecache.hits/misses/evictions) onto reg.
-func (h *TreeCachedHost) SetObs(reg *obs.Registry) { h.protocols.SetObs(reg) }
 
 // treeNodeCount returns Σ_{l=0}^{depth} (c+1)^l.
 func treeNodeCount(c, depth int) int {
@@ -89,9 +84,6 @@ func BuildTreeCachedHost(n, c, depth int) (*TreeCachedHost, error) {
 		protocols: cache.New[uint64, *pebble.Protocol]("universal.treecache", 1<<24, protocolSize, nil),
 	}, nil
 }
-
-// Root returns the host index of tree i's root.
-func (h *TreeCachedHost) Root(i int) int { return i * h.treeSize }
 
 // M returns the host size.
 func (h *TreeCachedHost) M() int { return h.Graph.N() }
