@@ -290,8 +290,8 @@ func cmdPebble(args []string) error {
 	hostDim := fs.Int("hostdim", 3, "wrapped-butterfly host dimension")
 	steps := fs.Int("steps", 4, "guest steps")
 	seed := fs.Int64("seed", 1, "random seed")
-	save := fs.String("save", "", "write the protocol as JSON to this file")
-	load := fs.String("load", "", "load a protocol JSON instead of building one")
+	save := fs.String("save", "", "write the protocol in binary (UPB1) form to this file")
+	load := fs.String("load", "", "load a binary (UPB1) protocol instead of building one")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -302,7 +302,7 @@ func cmdPebble(args []string) error {
 			return err
 		}
 		defer f.Close()
-		pr, err = pebble.ReadJSON(f)
+		pr, err = pebble.ReadBinary(f)
 		if err != nil {
 			return err
 		}
@@ -333,7 +333,7 @@ func cmdPebble(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := pr.WriteJSON(f); err != nil {
+		if err := pr.WriteBinary(f); err != nil {
 			f.Close()
 			return err
 		}

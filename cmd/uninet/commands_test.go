@@ -106,23 +106,43 @@ func TestCmdBoundAndTradeoff(t *testing.T) {
 	}
 }
 
-// TestCmdPebbleSaveLoad round-trips a protocol through -save and -load; the
-// load describes the saved guest, not the -deg default.
+// TestCmdPebbleSaveLoad round-trips a protocol through -save and -load in
+// UPB1: the load prints the build's analysis lines, so it describes the
+// saved guest, not the -deg default.
 func TestCmdPebbleSaveLoad(t *testing.T) {
 	dir := t.TempDir()
-	file := filepath.Join(dir, "p.json")
-	if err := cmdPebble([]string{"-n", "12", "-deg", "3", "-steps", "2", "-save", file}); err != nil {
-		t.Fatal(err)
+	file := filepath.Join(dir, "p.upb")
+	built := captureStdout(t, func() error {
+		return cmdPebble([]string{"-n", "12", "-deg", "3", "-steps", "2", "-save", file})
+	})
+	if !strings.Contains(built, "guest n=12 (3-regular)") {
+		t.Errorf("build does not describe its guest:\n%s", built)
 	}
-	if _, err := os.Stat(file); err != nil {
-		t.Fatal(err)
+	loaded := captureStdout(t, func() error { return cmdPebble([]string{"-load", file}) })
+	if want := strings.Replace(built, "protocol written to "+file+"\n", "", 1); loaded != want {
+		t.Errorf("load prints\n%s\nwant the build's analysis lines\n%s", loaded, want)
 	}
-	out := captureStdout(t, func() error { return cmdPebble([]string{"-load", file}) })
-	if !strings.Contains(out, "guest n=12 (3-regular)") {
-		t.Errorf("load does not describe the saved guest:\n%s", out)
-	}
-	if err := cmdPebble([]string{"-load", filepath.Join(dir, "missing.json")}); err == nil {
+	if err := cmdPebble([]string{"-load", filepath.Join(dir, "missing.upb")}); err == nil {
 		t.Error("missing file accepted")
+	}
+
+	// pebble -load reads what bigsim -save writes.
+	archive := filepath.Join(dir, "bigsim.upb")
+	captureStdout(t, func() error {
+		return cmdBigsim([]string{"-n", "2000", "-hostdim", "4", "-save", archive})
+	})
+	out := captureStdout(t, func() error { return cmdPebble([]string{"-load", archive}) })
+	if !strings.Contains(out, "guest n=2000 (3-regular)") {
+		t.Errorf("load does not describe the bigsim archive's guest:\n%s", out)
+	}
+
+	// A JSON protocol document is not a UPB1 file.
+	doc := filepath.Join(dir, "p.json")
+	if err := os.WriteFile(doc, []byte(`{"guest":{"n":1},"host":{"n":1},"t":0,"steps":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPebble([]string{"-load", doc}); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("loading a JSON document: %v, want a bad magic error", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -23,29 +22,10 @@ import (
 	"universalnet/internal/service"
 )
 
-// liveRegistry is the registry the expvar callback reads. It is a package
-// atomic (not a runServe local) because expvar.Publish is global and
-// panics on duplicate names — publishOnce installs one callback forever,
-// and successive runServe calls (tests, repeated serves) swap the pointer.
-var liveRegistry atomic.Pointer[obs.Registry]
-
-var publishOnce = func() func() {
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		expvar.Publish("uninet", expvar.Func(func() any {
-			return liveRegistry.Load().Snapshot()
-		}))
-	}
-}()
-
 // cmdServe runs the experiment suite with a live run-level metrics registry
-// and serves it over HTTP: expvar at /debug/vars (key "uninet"), pprof under
-// /debug/pprof/, the bare aggregated snapshot at /metrics, and the
-// simulation service under /v1/ (POST simulate|route|embed, GET status).
+// and serves it over HTTP: Prometheus text at /metrics, the JSON snapshot at
+// /metrics.json, pprof under /debug/pprof/, and the simulation service
+// under /v1/ (POST simulate|route|embed, GET status).
 // After the suite completes the server keeps running — now primarily as a
 // request-serving node — until interrupted (or, with -once, exits
 // immediately).
@@ -163,8 +143,6 @@ type serveOpts struct {
 // leak across the whole drain window.
 func runServe(ctx context.Context, ln net.Listener, exps []experiments.Experiment, cfg experiments.Config, opts serveOpts, out io.Writer) error {
 	reg := obs.New()
-	liveRegistry.Store(reg)
-	publishOnce()
 
 	sink, err := openTrace(opts.tracePath)
 	if err != nil {
@@ -251,30 +229,20 @@ func runServe(ctx context.Context, ln net.Listener, exps []experiments.Experimen
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// /metrics serves Prometheus text exposition by default; the JSON
-	// snapshot stays reachable via Accept: application/json or /metrics.json.
-	writeMetricsJSON := func(w http.ResponseWriter) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.Snapshot().WriteProm(w)
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(liveRegistry.Load().Snapshot())
-	}
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Accept"), "application/json") {
-			writeMetricsJSON(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = liveRegistry.Load().Snapshot().WriteProm(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		writeMetricsJSON(w)
+		_ = enc.Encode(reg.Snapshot())
 	})
 	mux.Handle("/v1/", v1)
 
@@ -284,7 +252,7 @@ func runServe(ctx context.Context, ln net.Listener, exps []experiments.Experimen
 	srv := &http.Server{Handler: service.Drain(draining.Load, mux)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(out, "uninet serve: service on http://%s/v1/ (metrics /metrics, expvar /debug/vars, pprof /debug/pprof/)\n", ln.Addr())
+	fmt.Fprintf(out, "uninet serve: service on http://%s/v1/ (metrics /metrics, pprof /debug/pprof/)\n", ln.Addr())
 	if node != nil {
 		fmt.Fprintf(out, "uninet serve: cluster node %s, peers %s\n", node.Self(), strings.Join(opts.peers, ","))
 	}

@@ -67,8 +67,7 @@ func TestRunServeShutdownNoLeak(t *testing.T) {
 		}, &out)
 	}()
 
-	// The server must answer while the suite runs / idles. The JSON snapshot
-	// moved to /metrics.json (and stays on /metrics under Accept).
+	// The server must answer while the suite runs / idles.
 	tr := &http.Transport{}
 	client := &http.Client{Transport: tr, Timeout: 2 * time.Second}
 	var snap obs.Snapshot
@@ -87,30 +86,6 @@ func TestRunServeShutdownNoLeak(t *testing.T) {
 	}
 	if len(fams) == 0 {
 		t.Error("/metrics exposition is empty")
-	}
-	// JSON content negotiation on /metrics proper.
-	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var negotiated obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&negotiated); err != nil {
-		t.Errorf("/metrics with Accept: application/json not JSON: %v", err)
-	}
-	resp.Body.Close()
-	var vars struct {
-		Uninet *obs.Snapshot `json:"uninet"`
-	}
-	if err := pollJSON(client, "http://"+addr+"/debug/vars", &vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
-	}
-	if vars.Uninet == nil {
-		t.Error("/debug/vars missing the uninet expvar")
 	}
 	tr.CloseIdleConnections()
 

@@ -233,16 +233,6 @@ func (c *Cache[K, V]) GetOrComputeCtx(ctx context.Context, key K, compute func()
 	return fl.val, fl.err
 }
 
-// Len returns the number of cached entries.
-func (c *Cache[K, V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats is a point-in-time summary of the cache's counters, for status
 // endpoints and tests that should not have to parse an obs snapshot.
 type Stats struct {

@@ -449,35 +449,37 @@ func writeGraphBinary(w *bufio.Writer, g *graph.Graph) error {
 	return nil
 }
 
-func readGraphBinary(r *bufio.Reader) (*graph.Graph, error) {
+// readGraphBinary reads one graph's vertex count and edge list. The list
+// grows with the edges actually read, not with the count the input claims,
+// and nothing is sized from the vertex count: NewBinaryReader checks the
+// whole spec before it builds a graph.
+func readGraphBinary(r *bufio.Reader) (int, []graph.Edge, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	// Clamped first, so that a count of 2⁶³ or more cannot wrap negative.
 	nv := int(min(n, math.MaxInt))
 	if err := graph.CheckVertexCount(nv); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	ec, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	b := graph.NewBuilder(nv)
+	var edges []graph.Edge
 	for i := uint64(0); i < ec; i++ {
 		u, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		if err := b.AddEdge(int(u), int(v)); err != nil {
-			return nil, err
-		}
+		edges = append(edges, graph.Edge{U: int(u), V: int(v)})
 	}
-	return b.Build(), nil
+	return nv, edges, nil
 }
 
 // WriteBinary streams a protocol to w in the binary format.
@@ -588,11 +590,11 @@ func NewBinaryReader(r io.Reader) (Spec, StepSource, error) {
 	if magic != binaryMagic {
 		return Spec{}, nil, fmt.Errorf("pebble: binary: bad magic %q", magic[:])
 	}
-	guest, err := readGraphBinary(br)
+	n, guestEdges, err := readGraphBinary(br)
 	if err != nil {
 		return Spec{}, nil, fmt.Errorf("pebble: binary: guest graph: %w", err)
 	}
-	host, err := readGraphBinary(br)
+	m, hostEdges, err := readGraphBinary(br)
 	if err != nil {
 		return Spec{}, nil, fmt.Errorf("pebble: binary: host graph: %w", err)
 	}
@@ -600,9 +602,17 @@ func NewBinaryReader(r io.Reader) (Spec, StepSource, error) {
 	if err != nil {
 		return Spec{}, nil, fmt.Errorf("pebble: binary: %w", err)
 	}
-	sp := Spec{Guest: guest, Host: host, T: int(min(T, math.MaxInt))}
-	if err := checkDecodedSpec(guest.N(), host.N(), sp.T); err != nil {
+	sp := Spec{T: int(min(T, math.MaxInt))}
+	// Checked before either graph is built: two graphs at the vertex cap
+	// alone take 1.5 GB.
+	if err := checkDecodedSpec(n, m, sp.T); err != nil {
 		return Spec{}, nil, err
+	}
+	if sp.Guest, err = graph.FromEdges(n, guestEdges); err != nil {
+		return Spec{}, nil, fmt.Errorf("pebble: binary: guest graph: %w", err)
+	}
+	if sp.Host, err = graph.FromEdges(m, hostEdges); err != nil {
+		return Spec{}, nil, fmt.Errorf("pebble: binary: host graph: %w", err)
 	}
 	return sp, &binaryStepReader{br: br}, nil
 }

@@ -159,6 +159,13 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
+	// A two-vertex guest with one bad edge, then one host vertex and T = 1.
+	if _, err := ReadBinary(bytes.NewReader(upb1(2, 1, 0, 5, 1, 0, 1, 0))); err == nil {
+		t.Error("out-of-range guest edge accepted")
+	}
+	if _, err := ReadBinary(bytes.NewReader(upb1(2, 1, 1, 1, 1, 0, 1, 0))); err == nil {
+		t.Error("guest self-loop accepted")
+	}
 }
 
 // referenceStepBytes is the step encoding spelled out with one

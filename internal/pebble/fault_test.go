@@ -1,9 +1,7 @@
 package pebble
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"universalnet/internal/topology"
@@ -185,47 +183,5 @@ func TestFaultProcOutOfRange(t *testing.T) {
 	pr.Steps[0] = append(pr.Steps[0], Op{Kind: Generate, Proc: 999, Pebble: Type{P: 0, T: 1}})
 	if _, err := pr.Validate(); err == nil {
 		t.Error("out-of-range processor not detected")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	pr := buildValidProtocol(t)
-	var buf bytes.Buffer
-	if err := pr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.T != pr.T || back.HostSteps() != pr.HostSteps() || back.OpCount() != pr.OpCount() {
-		t.Errorf("round trip changed shape: T=%d steps=%d ops=%d", back.T, back.HostSteps(), back.OpCount())
-	}
-	if !back.Guest.Equal(pr.Guest) || !back.Host.Equal(pr.Host) {
-		t.Error("round trip changed graphs")
-	}
-	if _, err := back.Validate(); err != nil {
-		t.Errorf("round-tripped protocol invalid: %v", err)
-	}
-}
-
-func TestJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Error("truncated JSON accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"guest":{"n":2,"edges":[[0,5]]},"host":{"n":1},"t":1,"steps":[]}`)); err == nil {
-		t.Error("invalid edge accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"guest":{"n":1},"host":{"n":1},"t":1,"steps":[[{"kind":"explode","proc":0,"p":0,"t":1}]]}`)); err == nil {
-		t.Error("unknown op kind accepted")
-	}
-}
-
-func TestWriteJSONRejectsBadKind(t *testing.T) {
-	pr := clone(buildValidProtocol(t))
-	pr.Steps[0] = append(pr.Steps[0], Op{Kind: OpKind(9), Proc: 0})
-	var buf bytes.Buffer
-	if err := pr.WriteJSON(&buf); err == nil {
-		t.Error("unknown kind serialized")
 	}
 }

@@ -8,37 +8,23 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
+	"runtime"
 	"testing"
 
 	"universalnet/internal/graph"
 	"universalnet/internal/topology"
 )
 
-// craftedJSON are protocol documents with a crafted vertex count or
-// horizon. Each must be an error. Before graph.CheckVertexCount, a count of
-// -1 panicked and one of 2⁴⁰ exhausted memory. Before checkDecodedSpec, the
-// rest decoded and Validate then ran out of memory: T = 2⁴⁰; 2²⁴ guests on
-// 2²⁴ hosts, within the vertex cap but 2⁴⁸ possession bits; and T = 2⁶²,
-// where (T+1)·n wrapped to 4.
-var craftedJSON = []string{
-	`{"guest":{"n":-1},"host":{"n":1},"t":0,"steps":[]}`,
-	`{"guest":{"n":1},"host":{"n":1099511627776},"t":0,"steps":[]}`,
-	`{"guest":{"n":1},"host":{"n":1},"t":1099511627776,"steps":[]}`,
-	`{"guest":{"n":16777216},"host":{"n":16777216},"t":0,"steps":[]}`,
-	`{"guest":{"n":4},"host":{"n":1},"t":4611686018427387904,"steps":[]}`,
-	`{"guest":{"n":1},"host":{"n":1},"t":-1,"steps":[]}`,
-}
-
 // upb1 returns a UPB1 stream: the magic, a guest vertex count n, then rest.
 func upb1(n uint64, rest ...byte) []byte {
 	return append(binary.AppendUvarint([]byte("UPB1"), n), rest...)
 }
 
-// upb1Horizon returns a complete UPB1 stream with no steps: an edgeless
-// guest of n vertices, one host vertex, and horizon T.
-func upb1Horizon(n, T uint64) []byte {
-	return append(binary.AppendUvarint(upb1(n, 0, 1, 0), T), 0)
+// upb1Spec returns a complete UPB1 stream with no steps: an edgeless
+// guest of n vertices, an edgeless host of m vertices, and horizon T.
+func upb1Spec(n, m, T uint64) []byte {
+	data := binary.AppendUvarint(upb1(n, 0), m)
+	return append(binary.AppendUvarint(append(data, 0), T), 0)
 }
 
 // craftedBinary are UPB1 streams with a crafted count. Each must be an
@@ -47,25 +33,24 @@ func upb1Horizon(n, T uint64) []byte {
 // step claiming 2²⁸ ops ran out of memory, which no recover can catch.
 // Before checkDecodedSpec, the horizon streams decoded, and validating
 // them ran out of memory (T = 2⁴⁰), panicked in makeslice (T = 2⁶²), or
-// sized the tables from a wrapped (T+1)·n (T = 2⁶³ reads as -2⁶³).
+// sized the tables from a wrapped (T+1)·n (T = 2⁶³ reads as -2⁶³). Before
+// the ceiling was checked ahead of the graphs, the 16-byte stream of a
+// 2²⁴-vertex guest on a 2²⁴-vertex host allocated 1.5 GB of adjacency
+// before it was refused.
 var craftedBinary = [][]byte{
 	upb1(1<<63, 0),
 	upb1(1<<40, 0),
 	upb1(1<<24+1, 0),
 	// A one-vertex guest and host, T = 0, then a step of 2²⁸ ops.
 	upb1(1, append([]byte{0, 1, 0, 0, 1}, binary.AppendUvarint(nil, 1<<28)...)...),
-	upb1Horizon(1, 1<<40),
-	upb1Horizon(1, 1<<62),
-	upb1Horizon(4, 1<<62),
-	upb1Horizon(1, 1<<63),
+	upb1Spec(1, 1, 1<<40),
+	upb1Spec(1, 1, 1<<62),
+	upb1Spec(4, 1, 1<<62),
+	upb1Spec(1, 1, 1<<63),
+	upb1Spec(1<<24, 1<<24, 0),
 }
 
 func TestDecodersRejectCraftedCounts(t *testing.T) {
-	for _, data := range craftedJSON {
-		if _, err := ReadJSON(strings.NewReader(data)); err == nil {
-			t.Errorf("ReadJSON accepted %s", data)
-		}
-	}
 	for _, data := range craftedBinary {
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			t.Errorf("ReadBinary accepted %x", data)
@@ -79,8 +64,26 @@ func TestDecodersRejectCraftedCounts(t *testing.T) {
 	}
 	// A crafted horizon is refused with the header, before a validator
 	// could size anything from it.
-	if _, _, err := NewBinaryReader(bytes.NewReader(upb1Horizon(1, 1<<40))); err == nil {
+	if _, _, err := NewBinaryReader(bytes.NewReader(upb1Spec(1, 1, 1<<40))); err == nil {
 		t.Error("NewBinaryReader accepted T = 2⁴⁰")
+	}
+}
+
+// TestCeilingCheckedBeforeGraphs: NewBinaryReader refuses the 16-byte
+// header of 2²⁴ guests on 2²⁴ hosts before it builds either graph, so the
+// refusal costs the reader's buffer, not the 1.5 GB of two graphs at the
+// vertex cap.
+func TestCeilingCheckedBeforeGraphs(t *testing.T) {
+	data := upb1Spec(1<<24, 1<<24, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewBinaryReader(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("NewBinaryReader accepted 2²⁴ guests on 2²⁴ hosts")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing a %d-byte header allocated %d bytes, want under 1 MiB", len(data), alloc)
 	}
 }
 
@@ -127,27 +130,6 @@ func validateNoPanic(t *testing.T, pr *Protocol) {
 		}
 	}()
 	_, _ = pr.Validate()
-}
-
-func FuzzProtocolReadJSON(f *testing.F) {
-	f.Add(`{"guest":{"n":2,"edges":[[0,1]]},"host":{"n":2,"edges":[[0,1]]},"t":1,"steps":[[{"kind":"generate","proc":0,"p":0,"t":1}]]}`)
-	f.Add(`{"guest":{"n":1},"host":{"n":1},"t":0,"steps":[]}`)
-	f.Add(`garbage`)
-	for _, data := range craftedJSON {
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data string) {
-		pr, err := ReadJSON(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		validateNoPanic(t, pr)
-		// And re-encoding must succeed for anything we decoded.
-		var buf bytes.Buffer
-		if err := pr.WriteJSON(&buf); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-	})
 }
 
 // FuzzReadBinary feeds arbitrary bytes to the UPB1 decoder. It must return

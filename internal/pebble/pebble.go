@@ -71,7 +71,7 @@ type Protocol struct {
 	Steps [][]Op // Steps[τ] = operations of host step τ+1
 	// Obs, when non-nil, receives validation metrics: ops by kind, host
 	// steps, and a "pebble.validate" span timing the replay.
-	Obs *obs.Registry `json:"-"`
+	Obs *obs.Registry
 }
 
 // HostSteps returns T', the number of host steps.

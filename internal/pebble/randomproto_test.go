@@ -145,10 +145,10 @@ func TestPropertyRandomProtocolJSONRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := pr.WriteJSON(&buf); err != nil {
+		if err := pr.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadJSON(&buf)
+		back, err := ReadBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,8 +243,8 @@ const maxDecodedSpecBytes = 5 << 28
 // checkDecodedSpec rejects a decoded spec of n guests, m hosts and horizon
 // T that validation could not size: a vertex count outside the decoder
 // cap, a negative horizon, or (T+1)·n ids needing more than
-// maxDecodedSpecBytes. Both protocol decoders call it before they return a
-// spec, so (T+1)·n and m·(T+1)·n cannot overflow in a validator.
+// maxDecodedSpecBytes. The UPB1 decoder calls it before it builds either
+// graph, so (T+1)·n and m·(T+1)·n cannot overflow in a validator.
 func checkDecodedSpec(n, m, T int) error {
 	if err := graph.CheckVertexCount(n); err != nil {
 		return fmt.Errorf("pebble: guest graph: %w", err)

@@ -16,8 +16,8 @@ import (
 // consumers pull them through a StepSource — so a protocol of 10⁸ operations
 // flows through bounded memory. A materialized Protocol remains one
 // implementation of both interfaces (Source / ProtocolSink), which is how
-// the oracle suite, JSON export, and the small-n analyses keep working
-// unchanged. See DESIGN.md §"Streaming protocol pipeline".
+// the oracle suite and the small-n analyses keep working unchanged. See
+// DESIGN.md §"Streaming protocol pipeline".
 
 // StepSource yields the host steps of a protocol in order. NextStep returns
 // io.EOF after the last step; any other error aborts the stream. The
@@ -131,8 +131,8 @@ func (t *teeSink) AppendStepSegments(segs [][]Op) error {
 }
 
 // Materialize drains a source into a fresh Protocol — the adapter that lets
-// Minimize, StatefulReplay, VerifyCarries, JSON export, and the oracle
-// suite keep working unchanged on chunked or piped protocols at small n.
+// Minimize, StatefulReplay, VerifyCarries and the oracle suite keep working
+// unchanged on chunked or piped protocols at small n.
 func Materialize(sp Spec, src StepSource) (*Protocol, error) {
 	pr := &Protocol{Guest: sp.Guest, Host: sp.Host, T: sp.T}
 	if err := drain(src, &ProtocolSink{Proto: pr}); err != nil {

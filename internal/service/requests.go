@@ -153,13 +153,15 @@ func buildRouter(name string, n int) (routing.Router, error) {
 }
 
 // validGuest rejects guest sizes and degrees out of range and the ones the
-// random regular generator refuses: an odd n·deg, or deg ≥ n.
+// random regular generator refuses: an odd n·deg, or deg ≥ n. Degree 2 is
+// out of range because a random 2-regular graph is rarely one cycle, so
+// its generation would fail by chance after queueing.
 func validGuest(n, deg int) error {
 	if n < 4 || n > maxGuestSize {
 		return fmt.Errorf("service: n=%d out of range [4,%d]", n, maxGuestSize)
 	}
-	if deg < 2 || deg > 8 {
-		return fmt.Errorf("service: guest_degree=%d out of range [2,8]", deg)
+	if deg < 3 || deg > 8 {
+		return fmt.Errorf("service: guest_degree=%d out of range [3,8]", deg)
 	}
 	if deg >= n {
 		return fmt.Errorf("service: guest_degree=%d not below n=%d", deg, n)

@@ -119,6 +119,8 @@ func TestValidateRejectsWhatBuildersRefuse(t *testing.T) {
 			"service: n·guest_degree = 5·3 is odd"},
 		{"/v1/embed", `{"topology":"ring","n":4,"m":8,"seed":1,"guest_degree":4}`,
 			"service: guest_degree=4 not below n=4"},
+		{"/v1/embed", `{"topology":"torus","n":1024,"m":64,"seed":1,"guest_degree":2}`,
+			"service: guest_degree=2 out of range [3,8]"},
 		{"/v1/route", `{"topology":"ring","m":7,"seed":1,"pattern":"bitreversal"}`,
 			"service: bitreversal needs a power-of-two host, ring m=7 has 7 processors"},
 		{"/v1/route", `{"topology":"butterfly","m":3,"seed":1,"pattern":"bitreversal"}`,

@@ -113,8 +113,6 @@ var (
 	// RandomPebbleProtocol generates a random legal protocol (fuzzing and
 	// analysis-machinery testing).
 	RandomPebbleProtocol = pebble.RandomProtocol
-	// ReadProtocolJSON deserializes a protocol written with WriteJSON.
-	ReadProtocolJSON = pebble.ReadJSON
 	// StatefulReplay executes a protocol with real configurations attached
 	// to the pebbles, returning the carried final states.
 	StatefulReplay = pebble.StatefulReplay
