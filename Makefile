@@ -26,8 +26,11 @@ check:
 # and perfbench) with inlining off, since an inlined function may leave no
 # symbol of its own, and fails when an exported function of internal/ or the
 # facade is linked into none of them and is not listed with a reason in
-# scripts/linkcheck/allow.txt. It stays out of check so that `make test`
-# does not pay for ten builds; CI's check job runs both.
+# scripts/linkcheck/allow.txt. It also holds PAPER_MAP.md to the code: each
+# name in a Code cell is declared, uninet links the functions of a row that
+# claims an experiment, a paper: allow entry sits on a row with Experiment
+# "—", and each cited test exists. It stays out of check so that
+# `make test` does not pay for ten builds; CI's check job runs both.
 linkcheck:
 	$(GO) run ./scripts/linkcheck
 

@@ -51,10 +51,10 @@ func main() {
 
 	// The m = Ω(n log n) corollary: host size needed for constant slowdown.
 	for _, s0 := range []float64{2, 4, 8} {
-		m, err := toy.MinHostSizeForConstantSlowdown(n, s0)
+		rows, err := toy.OpenProblemGap([]int{n}, s0, 0.5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("slowdown ≤ %.0f requires m ≥ %d (n = %d, toy constants)\n", s0, m, n)
+		fmt.Printf("slowdown ≤ %.0f requires m ≥ %.0f (n = %d, toy constants)\n", s0, rows[0].MLower, n)
 	}
 }

@@ -100,37 +100,30 @@ func (p Params) Log2FragmentChoices(n int, k float64) float64 {
 
 // Log2Multiplicity returns Proposition 3.6(b): log₂ X ≤
 // ((c−12)/2)·n·log₂ n − ½γ·((c−12)/2)·n·log₂ m.
-func (p Params) Log2Multiplicity(n, m int) float64 {
+func (p Params) Log2Multiplicity(n int, log2m float64) float64 {
 	half := float64(p.C-12) / 2
 	return half*float64(n)*math.Log2(float64(n)) -
-		0.5*p.Gamma()*half*float64(n)*math.Log2(float64(m))
+		0.5*p.Gamma()*half*float64(n)*log2m
 }
 
 // Log2Simulable returns Lemma 3.5's bound on log₂ |𝒢(k)|, the number of
-// guests admitting a k-inefficient simulation on a host of size m.
-func (p Params) Log2Simulable(n, m int, k float64) float64 {
-	return p.Log2FragmentChoices(n, k) + p.Log2Multiplicity(n, m)
+// guests admitting a k-inefficient simulation on a host with log₂ m = log2m.
+func (p Params) Log2Simulable(n int, log2m, k float64) float64 {
+	return p.Log2FragmentChoices(n, k) + p.Log2Multiplicity(n, log2m)
 }
 
 // Feasible reports whether inefficiency k is consistent with universality:
 // |𝒢(k)| ≥ |𝒰[G₀]| must hold, i.e. Log2Simulable ≥ Log2Guests. If it fails,
-// no k-inefficient simulation can cover all guests — k is impossible.
-func (p Params) Feasible(n, m int, k float64) bool {
-	return p.Log2Simulable(n, m, k) >= p.Log2Guests(n)
+// no k-inefficient simulation can cover all guests — k is impossible. The
+// chain takes log₂ m, not m, because E2 evaluates log₂ m up to 4·10⁶.
+func (p Params) Feasible(n int, log2m, k float64) bool {
+	return p.Log2Simulable(n, log2m, k) >= p.Log2Guests(n)
 }
 
-// feasibleNormalized is Feasible with both sides divided by n — the n·log₂ n
-// terms cancel, leaving r·k + log₂(q·k) + δ ≥ (γ·(c−12)/4)·log₂ m. This is
-// why Theorem 3.1's k = Ω(log m) is independent of the guest size.
-func (p Params) feasibleNormalized(log2m, k float64) bool {
-	if k <= 0 {
-		return false
-	}
-	return p.R*k+math.Log2(p.Q*k)+p.Delta >= p.Gamma()*(float64(p.C-12)/4)*log2m
-}
-
-// KLowerBound returns the smallest k ≥ 1 consistent with the (normalized)
-// Theorem 3.1 inequality for a host with log₂ m = log2m. Monotone bisection.
+// KLowerBound returns the smallest k ≥ 1 with Feasible(1, log2m, k), by
+// monotone bisection. At n = 1 the n·log₂ n terms vanish, leaving
+// r·k + log₂(q·k) + δ ≥ (γ·(c−12)/4)·log₂ m, and both sides scale with n,
+// so Theorem 3.1's k = Ω(log m) is independent of the guest size.
 // Note the scale: with the paper's own constants (r ≈ 4240) the bound stays
 // at the trivial k = 1 until log₂ m is astronomically large — the theorem is
 // asymptotic; use ToyParams to visualize the Ω(log m) shape at small sizes.
@@ -142,10 +135,10 @@ func (p Params) KLowerBound(log2m float64) (float64, error) {
 		return 0, fmt.Errorf("core: log₂ m = %f must be positive", log2m)
 	}
 	lo, hi := 1.0, 2.0
-	if p.feasibleNormalized(log2m, lo) {
+	if p.Feasible(1, log2m, lo) {
 		return lo, nil
 	}
-	for !p.feasibleNormalized(log2m, hi) {
+	for !p.Feasible(1, log2m, hi) {
 		hi *= 2
 		if hi > 1e15 {
 			return 0, fmt.Errorf("core: no feasible k below 1e15 (log₂m=%f)", log2m)
@@ -153,7 +146,7 @@ func (p Params) KLowerBound(log2m float64) (float64, error) {
 	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
-		if p.feasibleNormalized(log2m, mid) {
+		if p.Feasible(1, log2m, mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -163,7 +156,7 @@ func (p Params) KLowerBound(log2m float64) (float64, error) {
 }
 
 // MinInefficiency solves Theorem 3.1 numerically for integer sizes: the
-// smallest k ≥ 1 such that Feasible(n, m, k) holds. Equivalent to
+// smallest k ≥ 1 such that Feasible(n, log₂ m, k) holds, which is
 // KLowerBound(log₂ m) because the guest-count terms cancel.
 func (p Params) MinInefficiency(n, m int) (float64, error) {
 	if n < 2 || m < 2 {

@@ -127,13 +127,13 @@ func TestLog2GuestsPositive(t *testing.T) {
 
 func TestFeasibleMonotoneInK(t *testing.T) {
 	p := Params{}.Defaults()
-	n, m := 1<<20, 1<<16
-	if p.Feasible(n, m, 0.5) && !p.Feasible(n, m, 1000) {
+	n, log2m := 1<<20, 16.0
+	if p.Feasible(n, log2m, 0.5) && !p.Feasible(n, log2m, 1000) {
 		t.Error("feasibility not monotone")
 	}
 	for k := 1.0; k < 1e6; k *= 4 {
-		if p.Feasible(n, m, k) {
-			if !p.Feasible(n, m, k*2) {
+		if p.Feasible(n, log2m, k) {
+			if !p.Feasible(n, log2m, k*2) {
 				t.Errorf("feasible at k=%f but not at 2k", k)
 			}
 		}
@@ -261,24 +261,24 @@ func TestTradeoffTable(t *testing.T) {
 }
 
 func TestMinHostSizeForConstantSlowdown(t *testing.T) {
-	// With toy constants the Ω(n log n) corollary is visible: a slowdown cap
-	// of s₀ forces m ≥ n·k/s₀ with k = Ω(log m) > s₀ for large n.
+	// With toy constants the m = Ω(n log n) corollary is visible: a slowdown
+	// cap of s₀ forces m ≥ n·k/s₀ with k = Ω(log m) > s₀ for large n.
 	p := ToyParams()
 	n := 1 << 20
-	m, err := p.MinHostSizeForConstantSlowdown(n, 4)
+	tight, err := p.OpenProblemGap([]int{n}, 4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m < n {
-		t.Errorf("m = %d below n = %d for constant slowdown", m, n)
+	if tight[0].MLower < float64(n) {
+		t.Errorf("m = %f below n = %d for constant slowdown", tight[0].MLower, n)
 	}
 	// Monotone: a looser cap permits a smaller (or equal) host.
-	m2, err := p.MinHostSizeForConstantSlowdown(n, 64)
+	loose, err := p.OpenProblemGap([]int{n}, 64, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2 > m {
-		t.Errorf("looser cap needs bigger host: %d > %d", m2, m)
+	if loose[0].MLower > tight[0].MLower {
+		t.Errorf("looser cap needs bigger host: %f > %f", loose[0].MLower, tight[0].MLower)
 	}
 }
 

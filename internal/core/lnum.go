@@ -106,25 +106,6 @@ func (p Params) TradeoffTable(n int, ms []int) ([]TradeoffRow, error) {
 	return rows, nil
 }
 
-// MinHostSizeForConstantSlowdown returns, for guest size n and a slowdown
-// cap s₀, the smallest host size m (searched over powers of two) for which
-// the Theorem 3.1 bound permits slowdown ≤ s₀ — the "m = Ω(n log n) for
-// s = O(1)" corollary.
-func (p Params) MinHostSizeForConstantSlowdown(n int, s0 float64) (int, error) {
-	for e := 1; e <= 60; e++ {
-		m := 1 << e
-		k, err := p.MinInefficiency(n, m)
-		if err != nil {
-			return 0, err
-		}
-		s := k * float64(n) / float64(m)
-		if s <= s0 {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("core: no host size below 2^60 allows slowdown %f", s0)
-}
-
 // GapRow quantifies the paper's closing open problem for one guest size:
 // how many processors does constant slowdown need? Theorem 3.1 forces
 // m·s₀ ≥ n·k(log₂ m) (solved as a fixed point in m); [14] supplies the

@@ -16,22 +16,8 @@ func (p Params) RPrime(k float64) (float64, error) {
 	return p.R + (math.Log2(p.Q*k)+p.Delta)/k, nil
 }
 
-// FinalInequality evaluates the Theorem 3.1 chain at its last line:
-// m^{γ·(c−12)/2·n/2} ≤ 2^{r'·n·k}, returning both sides in log₂ per n, so
-// callers can see exactly where the bound bites. Consistent with
-// feasibleNormalized by construction (tested).
-func (p Params) FinalInequality(log2m, k float64) (lhs, rhs float64, err error) {
-	rp, err := p.RPrime(k)
-	if err != nil {
-		return 0, 0, err
-	}
-	lhs = 0.5 * p.Gamma() * (float64(p.C-12) / 2) * log2m
-	rhs = rp * k
-	return lhs, rhs, nil
-}
-
-// KFromClosedForm inverts the final inequality for k:
-// k ≥ γ·(c−12)/(4·r')·log₂ m, iterated twice because r' depends weakly on k.
+// KFromClosedForm inverts the proof's last line, r'·k ≥ γ·(c−12)/4·log₂ m,
+// for k, iterating because r' depends weakly on k.
 func (p Params) KFromClosedForm(log2m float64) float64 {
 	k := 1.0
 	for i := 0; i < 4; i++ {

@@ -28,18 +28,19 @@ func TestRPrime(t *testing.T) {
 	}
 }
 
-func TestFinalInequalityMatchesFeasibility(t *testing.T) {
+// TestRPrimeMatchesFeasibility checks the proof's last line,
+// r'(k)·k ≥ γ·(c−12)/4·log₂ m, against the chain that KLowerBound solves.
+func TestRPrimeMatchesFeasibility(t *testing.T) {
 	p := Params{}.Defaults()
 	for _, log2m := range []float64{16, 64, 1e5, 1e6} {
 		for _, k := range []float64{1, 5, 100, 1e4} {
-			lhs, rhs, err := p.FinalInequality(log2m, k)
+			rp, err := p.RPrime(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			feasible := rhs >= lhs
-			if feasible != p.feasibleNormalized(log2m, k) {
-				t.Errorf("log2m=%g k=%g: FinalInequality (%f vs %f) disagrees with feasibleNormalized",
-					log2m, k, lhs, rhs)
+			lhs, rhs := p.Gamma()*float64(p.C-12)/4*log2m, rp*k
+			if feasible := rhs >= lhs; feasible != p.Feasible(1, log2m, k) {
+				t.Errorf("log2m=%g k=%g: r' line (%f vs %f) disagrees with Feasible", log2m, k, rhs, lhs)
 			}
 		}
 	}

@@ -148,6 +148,7 @@ type E2Row struct {
 	PaperK   float64 // bound with the paper's constants
 	ToyK     float64 // bound with unit constants (shape at small sizes)
 	SlopeRef float64 // γ(c−12)/4 / r · log₂ m, the asymptotic line
+	RPrime   float64 // r' at PaperK: the bound is r'·k ≥ γ(c−12)/4·log₂ m
 }
 
 // E2LowerBoundCurve evaluates Theorem 3.1 numerically across host sizes.
@@ -164,11 +165,16 @@ func E2LowerBoundCurve(log2ms []float64) ([]E2Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		rp, err := paper.RPrime(pk)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, E2Row{
 			Log2M:    lm,
 			PaperK:   pk,
 			ToyK:     tk,
 			SlopeRef: paper.Gamma() * float64(paper.C-12) / 4 * lm / paper.R,
+			RPrime:   rp,
 		})
 	}
 	return rows, nil
@@ -178,12 +184,13 @@ func E2LowerBoundCurve(log2ms []float64) ([]E2Row, error) {
 func E2Table(rows []E2Row) *Table {
 	t := &Table{
 		Title:   "E2 (Thm 3.1): lower bound on inefficiency k = Ω(log m)",
-		Columns: []string{"log2 m", "k (paper consts)", "k (toy consts)", "asymptote (paper)"},
+		Columns: []string{"log2 m", "k (paper consts)", "k (toy consts)", "asymptote (paper)", "r' at k (paper)"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0f", r.Log2M), fmt.Sprintf("%.2f", r.PaperK),
 			fmt.Sprintf("%.2f", r.ToyK), fmt.Sprintf("%.3f", r.SlopeRef),
+			fmt.Sprintf("%.2f", r.RPrime),
 		})
 	}
 	return t

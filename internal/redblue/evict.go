@@ -14,7 +14,6 @@ import (
 // what lets Belady advance its offline next-use cursors in lockstep with
 // the replay.
 type Policy interface {
-	Name() string
 	Touched(proc int, id int32, tick int64)
 	Victim(proc int, ids []int32, last []int64, pins []int64, tick int64) int
 }
@@ -46,7 +45,6 @@ type lruPolicy struct{}
 // NewLRU evicts the least-recently-touched unpinned slot.
 func NewLRU() Policy { return lruPolicy{} }
 
-func (lruPolicy) Name() string              { return "lru" }
 func (lruPolicy) Touched(int, int32, int64) {}
 func (lruPolicy) Victim(_ int, ids []int32, last []int64, pins []int64, tick int64) int {
 	best, bestLast := -1, int64(0)
@@ -71,7 +69,6 @@ type randomPolicy struct {
 // seed (SplitMix64 stream — replays are reproducible).
 func NewRandom(seed uint64) Policy { return &randomPolicy{state: seed} }
 
-func (*randomPolicy) Name() string              { return "random" }
 func (*randomPolicy) Touched(int, int32, int64) {}
 
 func (p *randomPolicy) next() uint64 {
@@ -141,8 +138,6 @@ func NewBelady(sp pebble.Spec, steps [][]pebble.Op) Policy {
 	}
 	return p
 }
-
-func (*beladyPolicy) Name() string { return "belady" }
 
 func (p *beladyPolicy) Touched(q int, id int32, _ int64) {
 	myPos := p.seq[q]

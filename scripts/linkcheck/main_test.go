@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,59 @@ func TestParseAllow(t *testing.T) {
 			t.Errorf("%s: parsed %q", tc.name, allow)
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.err)
+		}
+	}
+}
+
+func TestSplitRow(t *testing.T) {
+	got := splitRow(`| Counting \|𝒰'\| ([13] bound) | ` + "`core.Params.Log2Guests`" + ` | X ≤ Π C(\|D_i\|, c/2) | E9 |`)
+	want := []string{`Counting |𝒰'| ([13] bound)`, "`core.Params.Log2Guests`", `X ≤ Π C(|D_i|, c/2)`, "E9"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("cells %q, want %q", got, want)
+	}
+}
+
+// TestCheckMap runs the PAPER_MAP rules on a clean map and on one planted
+// fault at a time.
+func TestCheckMap(t *testing.T) {
+	names := map[string]string{
+		"core.Params":                     "",
+		"core.Params.KLowerBound":         "m/internal/core.Params.KLowerBound",
+		"core.Params.RPrime":              "m/internal/core.Params.RPrime",
+		"graph.Graph.EulerianOrientation": "m/internal/graph.(*Graph).EulerianOrientation",
+	}
+	uninet := map[string]bool{"m/internal/core.Params.KLowerBound": true}
+	tests := map[string]bool{"TestKLowerBound": true, "TestEulerianOrientationCycle": true}
+	const (
+		theorem = "| Theorem 3.1 on \\|𝒰'\\| | `core.Params.KLowerBound`, `core.Params` | `TestKLowerBound` | E2 |"
+		euler   = "| Eulerian orientation | `graph.Graph.EulerianOrientation`, `internal/graph/euler.go`, `uninet topo -kind g0` | `TestEulerianOrientation*` | — |"
+	)
+	paperEuler := map[string]string{"m/internal/graph.(*Graph).EulerianOrientation": "paper: Eulerian orientation"}
+	for _, tc := range []struct {
+		name  string
+		rows  []string
+		allow map[string]string
+		want  string // "" for a clean map
+	}{
+		{"clean", []string{theorem, euler}, paperEuler, ""},
+		{"unescaped bar", []string{"| Counting |𝒰'| | `core.Params` | — | E9 |"}, nil, ":5: the row has 6 cells, not 4"},
+		{"slash shorthand", []string{"| Theorem 3.1 | `core.Params.KLowerBound/RPrime` | — | E2 |"}, nil, "`core.Params.KLowerBound/RPrime` is a shorthand"},
+		{"no package", []string{"| Theorem 3.1 | `Params.KLowerBound` | — | E2 |"}, nil, "`Params.KLowerBound` is not written as pkg.Name or pkg.Type.Method"},
+		{"unlinked on E2", []string{"| r' | `core.Params.RPrime` | — | E2 |"}, nil, "`core.Params.RPrime` is not linked into uninet, yet the row claims E2"},
+		{"paper: entry on an experiment row", []string{strings.Replace(euler, "| — |", "| E9 |", 1)}, paperEuler, "m/internal/graph.(*Graph).EulerianOrientation has a paper: reason, but no"},
+		{"stale name", []string{"| r' | `core.Params.FinalInequality` | — | E2 |"}, nil, "`core.Params.FinalInequality` names no function, method or type of internal/"},
+		{"missing test", []string{"| Theorem 3.1 | `core.Params.KLowerBound` | `TestKLowerBound`, `TestFinalInequalityMatchesFeasibility` | E2 |"}, nil, ":5: TestFinalInequalityMatchesFeasibility is declared in no _test.go file"},
+	} {
+		text := "# Map\n\n| Statement | Code | Verified by | Experiment |\n|---|---|---|---|\n" + strings.Join(tc.rows, "\n") + "\n"
+		rows, problems := checkMap(text, names, uninet, tests, tc.allow)
+		if tc.want == "" {
+			if rows != len(tc.rows) || len(problems) > 0 {
+				t.Errorf("%s: %d rows checked, problems %q", tc.name, rows, problems)
+			}
+			continue
+		}
+		if !slices.ContainsFunc(problems, func(p string) bool { return strings.Contains(p, tc.want) }) {
+			t.Errorf("%s: problems %q, want one containing %q", tc.name, problems, tc.want)
 		}
 	}
 }

@@ -190,20 +190,12 @@ type (
 	ValiantRouter = routing.ValiantRouter
 )
 
-// SortingRouter routes permutations by comparator networks; see also
-// OddEvenTransposition and Bitonic schedules.
-type SortingRouter = routing.SortingRouter
-
 var (
 	// DecomposeHRelation splits an h–h relation into ≤ h permutations.
 	DecomposeHRelation = routing.DecomposeHRelation
 	// OfflinePermutationSteps routes a permutation offline through a Beneš
 	// network in 2d−1 steps.
 	OfflinePermutationSteps = routing.OfflinePermutationSteps
-	// OddEvenTransposition returns the n-round linear-array sorting network.
-	OddEvenTransposition = routing.OddEvenTransposition
-	// Bitonic returns Batcher's bitonic sorting network for 2^k inputs.
-	Bitonic = routing.Bitonic
 	// RoutingLowerBound returns the distance/work lower bound on steps.
 	RoutingLowerBound = routing.LowerBoundSteps
 )
