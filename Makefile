@@ -165,6 +165,9 @@ report-golden:
 	$(GO) run ./cmd/uninet report -seed 7 -parallel 1 > $(REPORT_GOLDEN).tmp
 	mv $(REPORT_GOLDEN).tmp $(REPORT_GOLDEN)
 
+# Run the six examples (about 2 s together). They build graphs the way a
+# user of the facade does, through the Builder and the stub matcher, so
+# CI's test job runs them after `make test`; `make check` only compiles them.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/lowerbound

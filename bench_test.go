@@ -490,11 +490,10 @@ func BenchmarkRandomRegularGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuild builds graphs on both sides of graph.Builder's dense
-// bound: a sparse random guest, where each duplicate check scans a short
-// list; K₁₀₀₀, where most checks probe the set of edges between long
-// lists; and a star whose 10⁵ leaves arrive in shuffled order, where the
-// hub's long list meets short ones.
+// BenchmarkGraphBuild builds three shapes: a sparse random guest, whose
+// stub matcher checks each pair against a few placed neighbors; K₁₀₀₀,
+// whose rows are long; and a star whose 10⁵ leaves arrive in shuffled
+// order, so Build sorts one long row beside many short ones.
 func BenchmarkGraphBuild(b *testing.B) {
 	b.Run("RandomGuest/n=1e5/c=3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

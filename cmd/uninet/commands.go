@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -243,16 +244,8 @@ func cmdBound(args []string) error {
 		s = 1
 	}
 	fmt.Printf("Theorem 3.1 (%s constants): n=%d m=%d → k ≥ %.3f, s ≥ %.3f, m·s ≥ %.0f (n·log2 m = %.0f)\n",
-		label, *n, *m, k, s, float64(*m)*s, float64(*n)*log2(*m))
+		label, *n, *m, k, s, float64(*m)*s, float64(*n)*math.Log2(float64(*m)))
 	return nil
-}
-
-func log2(x int) float64 {
-	l := 0.0
-	for v := x; v > 1; v >>= 1 {
-		l++
-	}
-	return l
 }
 
 func cmdTradeoff(args []string) error {

@@ -98,6 +98,12 @@ func TestCmdBoundAndTradeoff(t *testing.T) {
 	if err := cmdBound([]string{"-n", "1024", "-m", "256", "-toy"}); err != nil {
 		t.Error(err)
 	}
+	// n·log₂ m is exact, like the k beside it: 65536·log₂ 1000 = 653118.
+	for m, want := range map[string]string{"1000": "(n·log2 m = 653118)", "1024": "(n·log2 m = 655360)"} {
+		if out := captureStdout(t, func() error { return cmdBound([]string{"-m", m, "-toy"}) }); !strings.Contains(out, want) {
+			t.Errorf("bound -m %s -toy printed %q, want %q", m, out, want)
+		}
+	}
 	if err := cmdTradeoff([]string{"-n", "4096", "-ms", "64,256", "-toy"}); err != nil {
 		t.Error(err)
 	}

@@ -20,7 +20,7 @@ func (g *Graph) BFS(src int) []int {
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)
@@ -46,7 +46,7 @@ func (g *Graph) ShortestPathTree(src int) []int {
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if parent[w] < 0 {
 				parent[w] = v
 				queue = append(queue, w)
@@ -56,42 +56,11 @@ func (g *Graph) ShortestPathTree(src int) []int {
 	return parent
 }
 
-// ConnectedComponents returns, for each vertex, the index of its component
-// (components numbered 0.. in order of smallest contained vertex), and the
-// number of components.
-func (g *Graph) ConnectedComponents() (comp []int, count int) {
-	comp = make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	queue := make([]int, 0, g.N())
-	for v := 0; v < g.N(); v++ {
-		if comp[v] >= 0 {
-			continue
-		}
-		comp[v] = count
-		queue = append(queue[:0], v)
-		for head := 0; head < len(queue); head++ {
-			x := queue[head]
-			for _, w := range g.adj[x] {
-				if comp[w] < 0 {
-					comp[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
-}
-
-// IsConnected reports whether g has at most one connected component.
+// IsConnected reports whether g has at most one connected component: one
+// breadth-first search from vertex 0 reaches every vertex.
 func (g *Graph) IsConnected() bool {
-	if g.N() == 0 {
-		return true
-	}
-	_, c := g.ConnectedComponents()
-	return c <= 1
+	_, connected := g.Eccentricity(0)
+	return connected
 }
 
 // Eccentricity returns the largest BFS distance from v to any reachable
@@ -147,7 +116,7 @@ func (g *Graph) Girth() int {
 		queue := []int{src}
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if w == parent[v] {
 					continue
 				}
@@ -199,7 +168,7 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
 	}
 	b := NewBuilder(len(vertices))
 	for i, v := range vertices {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if j, ok := idx[w]; ok && i < j {
 				b.MustAddEdge(i, j)
 			}
@@ -259,9 +228,9 @@ func (g *Graph) Hash() uint64 {
 		}
 	}
 	mix(uint64(g.N()))
-	for v, a := range g.adj {
+	for v := 0; v < g.N(); v++ {
 		mix(uint64(v))
-		for _, w := range a {
+		for _, w := range g.Neighbors(v) {
 			mix(uint64(w) + 1)
 		}
 	}

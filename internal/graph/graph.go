@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -32,132 +33,53 @@ func NewEdge(u, v int) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Graph is an immutable, undirected, simple graph on vertices 0..N-1.
-// Adjacency lists are sorted ascending, enabling O(log d) edge queries.
+// Graph is an immutable, undirected, simple graph on vertices 0..N-1,
+// stored as CSR rows: v's neighbors, sorted ascending, are
+// nbr[off[v]:off[v+1]], so an edge query costs O(log d).
 type Graph struct {
-	adj   [][]int
-	edges int
+	off []int // N+1 row starts
+	nbr []int // every row, one after another
 }
 
 // Builder accumulates edges for a Graph. The zero value is not usable; call
 // NewBuilder.
-//
-// Duplicate edges are found on the adjacency lists the builder keeps anyway:
-// a query scans the shorter endpoint's list. Only when both lists are longer
-// than denseDegree does it look in dense, the set of exactly the edges
-// between two such lists, so every query costs at most denseDegree steps or
-// one set probe, and a sparse construction never allocates the set.
 type Builder struct {
 	n     int
-	adj   [][]int
-	dense map[Edge]struct{}
-
-	// block holds unused first-capacity slots of smallCap ints each, and
-	// listed counts the vertices that have taken one.
-	block  []int
-	listed int
+	edges []Edge
 }
-
-const (
-	// denseDegree is the longest adjacency list a duplicate check scans.
-	denseDegree = 32
-	// smallCap is the capacity each list first gets from the shared block.
-	smallCap = 4
-)
 
 // NewBuilder returns a Builder for a graph with n vertices (n ≥ 0).
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, adj: make([][]int, n)}
+	return &Builder{n: n}
 }
 
 // N returns the number of vertices the builder was created with.
 func (b *Builder) N() int { return b.n }
 
-// AddEdge inserts the undirected edge {u, v}. Inserting an edge twice is a
-// no-op, so constructions that overlay edge sets (for example the G₀ graph of
-// Definition 3.9, a multitorus union an expander) can add freely. It returns
-// an error for out-of-range endpoints or self-loops.
+// AddEdge inserts the undirected edge {u, v}. Inserting an edge twice adds
+// nothing to the built graph, so constructions that overlay edge sets (for
+// example the G₀ graph of Definition 3.9, a multitorus union an expander)
+// can add freely. It returns an error for out-of-range endpoints or
+// self-loops.
 func (b *Builder) AddEdge(u, v int) error {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
+	if err := checkEdge(b.n, u, v); err != nil {
+		return err
+	}
+	b.edges = append(b.edges, NewEdge(u, v))
+	return nil
+}
+
+func checkEdge(n, u, v int) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	if b.has(u, v) {
-		return nil
-	}
-	b.push(u, v)
-	b.push(v, u)
-	du, dv := len(b.adj[u]), len(b.adj[v])
-	// A list that just grew past denseDegree brings its edges to other
-	// long lists into the set; the new edge joins if both lists are long.
-	if du == denseDegree+1 {
-		b.indexDense(u)
-	}
-	if dv == denseDegree+1 {
-		b.indexDense(v)
-	}
-	if du > denseDegree && dv > denseDegree {
-		b.markDense(u, v)
-	}
 	return nil
-}
-
-// has reports whether {u, v} was added; u ≠ v, both in range.
-func (b *Builder) has(u, v int) bool {
-	a, w := b.adj[u], v
-	if len(b.adj[v]) < len(a) {
-		a, w = b.adj[v], u
-	}
-	if len(a) > denseDegree {
-		_, ok := b.dense[NewEdge(u, v)]
-		return ok
-	}
-	for _, x := range a {
-		if x == w {
-			return true
-		}
-	}
-	return false
-}
-
-// push appends w to v's list, giving the list its first capacity from the
-// shared block.
-func (b *Builder) push(v, w int) {
-	if b.adj[v] == nil {
-		if len(b.block) == 0 {
-			// A block serves as many vertices as have lists already (an
-			// eighth at first), capped at those without: an eighth, an
-			// eighth, a quarter and a half, at most four per build.
-			k := min(max(b.listed, (b.n+7)/8), b.n-b.listed)
-			b.block = make([]int, k*smallCap)
-		}
-		b.adj[v] = b.block[:0:smallCap]
-		b.block = b.block[smallCap:]
-		b.listed++
-	}
-	b.adj[v] = append(b.adj[v], w)
-}
-
-// indexDense adds v's edges to other lists longer than denseDegree to the
-// set.
-func (b *Builder) indexDense(v int) {
-	for _, w := range b.adj[v] {
-		if len(b.adj[w]) > denseDegree {
-			b.markDense(v, w)
-		}
-	}
-}
-
-func (b *Builder) markDense(u, v int) {
-	if b.dense == nil {
-		b.dense = make(map[Edge]struct{})
-	}
-	b.dense[NewEdge(u, v)] = struct{}{}
 }
 
 // MustAddEdge is AddEdge that panics on error; for use in topology
@@ -168,81 +90,97 @@ func (b *Builder) MustAddEdge(u, v int) {
 	}
 }
 
-// HasEdge reports whether {u, v} has already been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u == v || u < 0 || v < 0 || u >= b.n || v >= b.n {
-		return false
-	}
-	return b.has(u, v)
-}
-
-// Degree returns the current degree of v in the builder.
-func (b *Builder) Degree(v int) int { return len(b.adj[v]) }
-
 // Build finalizes the graph. The builder may be reused afterwards; the graph
-// does not alias builder memory. All lists share one backing array, each
-// sliced with capacity equal to its length, so an append to a Neighbors
-// result cannot write into the next vertex's list.
-func (b *Builder) Build() *Graph {
-	total := 0
-	for _, a := range b.adj {
-		total += len(a)
-	}
-	flat := make([]int, total)
-	adj := make([][]int, b.n)
-	off := 0
-	for v, a := range b.adj {
-		if len(a) == 0 {
-			continue
-		}
-		end := off + copy(flat[off:], a)
-		adj[v] = flat[off:end:end]
-		sort.Ints(adj[v])
-		off = end
-	}
-	return &Graph{adj: adj, edges: total / 2}
-}
+// does not alias builder memory.
+func (b *Builder) Build() *Graph { return build(b.n, b.edges) }
 
 // FromEdges builds a graph on n vertices from an edge list. Duplicate edges
 // are merged. It returns an error on invalid endpoints or self-loops.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	b := NewBuilder(n)
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
 	for _, e := range edges {
-		if err := b.AddEdge(e.U, e.V); err != nil {
+		if err := checkEdge(n, e.U, e.V); err != nil {
 			return nil, err
 		}
 	}
-	return b.Build(), nil
+	return build(n, edges), nil
+}
+
+// build packs edges, all in range and loop-free, into rows: it counts each
+// vertex's entries, places every edge in both endpoints' rows, then sorts
+// each row and drops repeated entries.
+func build(n int, edges []Edge) *Graph {
+	off := make([]int, n+1)
+	for _, e := range edges {
+		off[e.U]++
+		off[e.V]++
+	}
+	// off[v] becomes the end of v's row, and filling the row from its end
+	// leaves off[v] at its start.
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	nbr := make([]int, off[n])
+	for _, e := range edges {
+		off[e.U]--
+		nbr[off[e.U]] = e.V
+		off[e.V]--
+		nbr[off[e.V]] = e.U
+	}
+	w := 0
+	for v := 0; v < n; v++ {
+		row := nbr[off[v]:off[v+1]]
+		slices.Sort(row)
+		off[v] = w
+		for _, x := range row {
+			if w == off[v] || nbr[w-1] != x {
+				nbr[w] = x
+				w++
+			}
+		}
+	}
+	off[n] = w
+	return &Graph{off: off, nbr: nbr[:w]}
 }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.edges }
+func (g *Graph) M() int { return len(g.nbr) / 2 }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+// shared with the graph and must not be modified; its capacity ends with
+// the list, so an append copies it rather than writing into the next one.
+func (g *Graph) Neighbors(v int) []int { return g.nbr[g.off[v]:g.off[v+1]:g.off[v+1]] }
+
+// Adjacency returns the rows behind Neighbors: v's list is
+// nbr[off[v]:off[v+1]], and off has N+1 entries. Position off[u]+i stands
+// for the directed edge from u to its i-th neighbor, so positions run in
+// (u, v) order. The slices are shared with the graph and must not be
+// modified.
+func (g *Graph) Adjacency() (off, nbr []int) { return g.off, g.nbr }
 
 // HasEdge reports whether {u, v} is an edge, in O(log deg(u)).
 func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) || u == v {
+	if u < 0 || v < 0 || u >= g.N() || v >= g.N() || u == v {
 		return false
 	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	i := sort.SearchInts(a, v)
 	return i < len(a) && a[i] == v
 }
 
 // Edges returns all edges in canonical (U < V) order, sorted.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.edges)
-	for u, nbrs := range g.adj {
-		for _, v := range nbrs {
+	out := make([]Edge, 0, g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				out = append(out, Edge{U: u, V: v})
 			}
@@ -254,9 +192,9 @@ func (g *Graph) Edges() []Edge {
 // MaxDegree returns the largest vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for _, a := range g.adj {
-		if len(a) > max {
-			max = len(a)
+	for v := 0; v < g.N(); v++ {
+		if d := g.Degree(v); d > max {
+			max = d
 		}
 	}
 	return max
@@ -264,13 +202,13 @@ func (g *Graph) MaxDegree() int {
 
 // MinDegree returns the smallest vertex degree (0 for the empty graph).
 func (g *Graph) MinDegree() int {
-	if len(g.adj) == 0 {
+	if g.N() == 0 {
 		return 0
 	}
-	min := len(g.adj[0])
-	for _, a := range g.adj[1:] {
-		if len(a) < min {
-			min = len(a)
+	min := g.Degree(0)
+	for v := 1; v < g.N(); v++ {
+		if d := g.Degree(v); d < min {
+			min = d
 		}
 	}
 	return min
@@ -278,8 +216,8 @@ func (g *Graph) MinDegree() int {
 
 // IsRegular reports whether every vertex has degree d.
 func (g *Graph) IsRegular(d int) bool {
-	for _, a := range g.adj {
-		if len(a) != d {
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) != d {
 			return false
 		}
 	}
@@ -287,13 +225,13 @@ func (g *Graph) IsRegular(d int) bool {
 }
 
 // Validate checks internal invariants: sorted adjacency, symmetry, no loops,
-// no duplicates, consistent edge count. Graphs produced by Builder always
-// pass; Validate guards hand-constructed test fixtures and deserialized data.
+// no duplicates. Graphs from Build and FromEdges always pass; tests and the
+// decoders' fuzz targets hold them to it.
 func (g *Graph) Validate() error {
-	total := 0
-	for u, a := range g.adj {
+	for u := 0; u < g.N(); u++ {
+		a := g.Neighbors(u)
 		for i, v := range a {
-			if v < 0 || v >= len(g.adj) {
+			if v < 0 || v >= g.N() {
 				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, v)
 			}
 			if v == u {
@@ -306,31 +244,13 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: asymmetric edge {%d,%d}", u, v)
 			}
 		}
-		total += len(a)
-	}
-	if total != 2*g.edges {
-		return fmt.Errorf("graph: edge count %d inconsistent with adjacency sum %d", g.edges, total)
 	}
 	return nil
 }
 
 // Equal reports whether g and h are identical as labeled graphs.
 func (g *Graph) Equal(h *Graph) bool {
-	if g.N() != h.N() || g.M() != h.M() {
-		return false
-	}
-	for v := range g.adj {
-		a, b := g.adj[v], h.adj[v]
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(g.off, h.off) && slices.Equal(g.nbr, h.nbr)
 }
 
 // String returns a short human-readable description.
@@ -375,8 +295,8 @@ func (g *Graph) EulerianOrientation() ([]Arc, error) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			advanced := false
-			for cursor[v] < len(g.adj[v]) {
-				w := g.adj[v][cursor[v]]
+			for cursor[v] < g.Degree(v) {
+				w := g.Neighbors(v)[cursor[v]]
 				cursor[v]++
 				e := NewEdge(v, w)
 				if used[e] {
@@ -399,7 +319,7 @@ func (g *Graph) EulerianOrientation() ([]Arc, error) {
 	}
 
 	for v := 0; v < n; v++ {
-		if cursor[v] < len(g.adj[v]) {
+		if cursor[v] < g.Degree(v) {
 			trace(v)
 		}
 	}

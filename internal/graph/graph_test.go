@@ -72,12 +72,6 @@ func TestBuilderDeduplicates(t *testing.T) {
 	if g.M() != 1 {
 		t.Errorf("M = %d, want 1 after duplicate inserts", g.M())
 	}
-	if !b.HasEdge(0, 1) || !b.HasEdge(1, 0) {
-		t.Error("builder HasEdge missing inserted edge")
-	}
-	if b.HasEdge(2, 3) {
-		t.Error("builder HasEdge reports absent edge")
-	}
 }
 
 func TestBuildIsIndependentOfBuilder(t *testing.T) {
@@ -206,18 +200,8 @@ func TestShortestPathUnreachable(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	g := mustGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {3, 4}})
-	comp, count := g.ConnectedComponents()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Error("first component split")
-	}
-	if comp[3] != comp[4] || comp[3] == comp[0] || comp[5] == comp[0] || comp[5] == comp[3] {
-		t.Error("component labels wrong")
-	}
 	if g.IsConnected() {
-		t.Error("disconnected graph claimed connected")
+		t.Error("graph of three components claimed connected")
 	}
 	if !ringGraph(t, 5).IsConnected() {
 		t.Error("ring claimed disconnected")
@@ -447,18 +431,19 @@ func TestPropertyEulerianOrientationOnEvenGraphs(t *testing.T) {
 		// Build an even-degree graph as a union of edge-disjoint cycles.
 		n := 4 + r.Intn(20)
 		b := NewBuilder(n)
+		added := make(map[Edge]bool)
 		for c := 0; c < 3; c++ {
 			perm := r.Perm(n)
 			l := 3 + r.Intn(n-3)
 			cyc := perm[:l]
 			for i := 0; i < l; i++ {
-				u, v := cyc[i], cyc[(i+1)%l]
-				if b.HasEdge(u, v) {
+				if added[NewEdge(cyc[i], cyc[(i+1)%l])] {
 					return true // cycle overlap would break even degrees; skip trial
 				}
 			}
 			for i := 0; i < l; i++ {
 				b.MustAddEdge(cyc[i], cyc[(i+1)%l])
+				added[NewEdge(cyc[i], cyc[(i+1)%l])] = true
 			}
 		}
 		g := b.Build()
@@ -568,9 +553,6 @@ func TestBuilderAccessors(t *testing.T) {
 		t.Errorf("N = %d", b.N())
 	}
 	b.MustAddEdge(0, 1)
-	if b.Degree(0) != 1 || b.Degree(2) != 0 {
-		t.Error("builder degrees wrong")
-	}
 	g := b.Build()
 	if len(g.Neighbors(0)) != 1 || g.Neighbors(0)[0] != 1 {
 		t.Errorf("Neighbors(0) = %v", g.Neighbors(0))

@@ -22,10 +22,11 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 }
 
 // maxVertices is the largest vertex count a decoder accepts, 1<<24: above
-// the 10⁷ vertices of the largest out-of-core run planned. A decoder
-// allocates two list headers per vertex before it reads an edge (about
-// 0.8 GB at the cap), so a count read from a short header must be capped or
-// it could exhaust memory. Raise the cap with the run that needs it.
+// the 10⁷ vertices of the largest out-of-core run planned. Building a
+// decoded graph allocates one row offset per vertex however few edges it
+// read (128 MiB at the cap), so a count read from a short header must be
+// capped or it could exhaust memory. Raise the cap with the run that needs
+// it.
 const maxVertices = 1 << 24
 
 // CheckVertexCount returns an error unless 0 ≤ n ≤ 1<<24. Every graph

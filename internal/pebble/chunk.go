@@ -604,7 +604,7 @@ func NewBinaryReader(r io.Reader) (Spec, StepSource, error) {
 	}
 	sp := Spec{T: int(min(T, math.MaxInt))}
 	// Checked before either graph is built: two graphs at the vertex cap
-	// alone take 1.5 GB.
+	// take 256 MiB of row offsets before their first edge.
 	if err := checkDecodedSpec(n, m, sp.T); err != nil {
 		return Spec{}, nil, err
 	}

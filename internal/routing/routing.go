@@ -399,10 +399,10 @@ type nodeSlot struct{ sent, received, counted, queue int }
 //
 // A packet's distance is taken when it is created and after each move, so
 // rules.dist must depend on (at, dst) alone. Arbitration runs on dense
-// arrays indexed by directed-edge position in g's sorted adjacency (u's
+// arrays indexed by directed-edge position in g's rows (Adjacency: u's
 // offset plus v's index in Neighbors(u)), so edge position order is (u, v)
-// order; to holds each position's head v, and entries are stamped with the
-// step instead of being cleared. Every pair must lie in [0, g.N()).
+// order; the rows give each position's head v, and entries are stamped with
+// the step instead of being cleared. Every pair must lie in [0, g.N()).
 func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Result, error) {
 	var res Result
 	live := make([]packet, 0, len(p.Pairs))
@@ -415,17 +415,9 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 		pk := &live[len(live)-1]
 		pk.left = rules.dist(pk)
 	}
-	n := g.N()
-	off := make([]int, n+1)
-	for u := 0; u < n; u++ {
-		off[u+1] = off[u] + g.Degree(u)
-	}
-	to := make([]int, off[n])
-	for u := 0; u < n; u++ {
-		copy(to[off[u]:], g.Neighbors(u))
-	}
-	edges := make([]edgeSlot, off[n])
-	nodes := make([]nodeSlot, n)
+	off, to := g.Adjacency()
+	edges := make([]edgeSlot, len(to))
+	nodes := make([]nodeSlot, g.N())
 	var used []int // positions of the edges with a winner this step
 	for step := 0; len(live) > 0; step++ {
 		if step >= rules.maxStep {

@@ -3,7 +3,9 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"universalnet/internal/graph"
 )
@@ -47,37 +49,55 @@ func RandomWithDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph)
 	if forbidden != nil && forbidden.N() > n {
 		return nil, fmt.Errorf("topology: forbidden graph has %d vertices > %d", forbidden.N(), n)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: %d vertices exceed the stub matcher's int32 ids", n)
+	}
 
 	for restart := 0; restart < maxRestarts; restart++ {
-		g, ok := tryDegreeSequence(rng, seq, total, forbidden)
-		if ok {
-			return g, nil
+		if edges, ok := tryDegreeSequence(rng, seq, total, forbidden); ok {
+			return graph.FromEdges(n, edges)
 		}
 	}
 	return nil, ErrGenerationFailed
 }
 
 // tryDegreeSequence performs one stub-matching pass over the total stubs of
-// seq. It returns ok = false when it dead-ends (all remaining stub pairs are
-// conflicting).
-func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Graph) (*graph.Graph, bool) {
+// seq and returns the edges it placed. It returns ok = false when it
+// dead-ends (all remaining stub pairs are conflicting).
+func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Graph) (edges []graph.Edge, ok bool) {
 	n := len(seq)
-	// stubs[i] = vertex owning stub i.
-	stubs := make([]int, 0, total)
+	// stubs[i] = vertex owning stub i. Vertex v owns the seq[v] slots from
+	// start[v], and its placed neighbors fill the first fill[v] of them.
+	stubs := make([]int32, 0, total)
+	start := make([]int, n+1)
 	for v, d := range seq {
 		for j := 0; j < d; j++ {
-			stubs = append(stubs, v)
+			stubs = append(stubs, int32(v))
 		}
+		start[v+1] = start[v] + d
 	}
-	b := graph.NewBuilder(n)
-	conflict := func(u, v int) bool {
+	slots := make([]int32, total)
+	fill := make([]int32, n)
+	edges = make([]graph.Edge, 0, total/2)
+	// conflict scans the placed neighbors of the endpoint that has fewer.
+	conflict := func(u, v int32) bool {
 		if u == v {
 			return true
 		}
-		if b.HasEdge(u, v) {
+		if fill[v] < fill[u] {
+			u, v = v, u
+		}
+		if slices.Contains(slots[start[u]:start[u]+int(fill[u])], v) {
 			return true
 		}
-		return forbidden != nil && forbidden.HasEdge(u, v)
+		return forbidden != nil && forbidden.HasEdge(int(u), int(v))
+	}
+	place := func(u, v int32) {
+		slots[start[u]+int(fill[u])] = v
+		fill[u]++
+		slots[start[v]+int(fill[v])] = u
+		fill[v]++
+		edges = append(edges, graph.NewEdge(int(u), int(v)))
 	}
 	// Repeatedly pick two random remaining stubs; on conflict retry a bounded
 	// number of times, then check exhaustively whether any non-conflicting
@@ -95,7 +115,7 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Gr
 			if conflict(u, v) {
 				continue
 			}
-			b.MustAddEdge(u, v)
+			place(u, v)
 			// Remove both stubs (order matters: remove the larger index first).
 			if i < j {
 				i, j = j, i
@@ -116,8 +136,7 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Gr
 		for i := 0; i < live && !found; i++ {
 			for j := i + 1; j < live; j++ {
 				if !conflict(stubs[i], stubs[j]) {
-					u, v := stubs[i], stubs[j]
-					b.MustAddEdge(u, v)
+					place(stubs[i], stubs[j])
 					stubs[j] = stubs[live-1]
 					live--
 					stubs[i] = stubs[live-1]
@@ -131,7 +150,7 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Gr
 			return nil, false // dead end; caller restarts
 		}
 	}
-	return b.Build(), true
+	return edges, true
 }
 
 // RandomGuest samples a random c-regular n-vertex guest network from the

@@ -60,9 +60,10 @@ func TestGeneratorHashPins(t *testing.T) {
 }
 
 // TestRandomGuestAllocs bounds a 10⁴-vertex guest at a constant number of
-// allocations (15 when written): the builder takes its lists from shared
-// blocks and packs them in Build. An edge-set map, or a list allocated per
-// vertex, costs thousands.
+// allocations (12 when written): a stub-matching pass allocates its stubs,
+// slots, fill counts and edge list once each, and FromEdges packs the rows
+// in one go. An edge-set map, or a list allocated per vertex, costs
+// thousands.
 func TestRandomGuestAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := RandomGuest(rand.New(rand.NewSource(1)), 10000, 3); err != nil {
