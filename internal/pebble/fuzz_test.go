@@ -71,8 +71,8 @@ func TestDecodersRejectCraftedCounts(t *testing.T) {
 
 // TestCeilingCheckedBeforeGraphs: NewBinaryReader refuses the 16-byte
 // header of 2²⁴ guests on 2²⁴ hosts before it builds either graph, so the
-// refusal costs the reader's buffer, not the 1.5 GB of two graphs at the
-// vertex cap.
+// refusal costs the reader's buffer, not the 256 MiB of CSR offsets that
+// two graphs at the vertex cap take.
 func TestCeilingCheckedBeforeGraphs(t *testing.T) {
 	data := upb1Spec(1<<24, 1<<24, 0)
 	var before, after runtime.MemStats

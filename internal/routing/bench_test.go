@@ -31,7 +31,9 @@ func guestRelation(guest *graph.Graph, m int) *Problem {
 // miss routes: the relation of a 1024-guest, degree-4 random guest placed
 // i mod m on a 64-processor host, routed with no CachedRouter, by
 // dimension-order on the 8×8 torus and greedily on a 4-regular random host
-// and on ccc(4), in both port modes.
+// and on ccc(4), in both port modes. ring/multi-port is the regime where
+// few waiting packets move: a random 64–64 problem routed greedily on a
+// 128-node ring (TestRingRouteResultPin's instance).
 func BenchmarkRoutePackets(b *testing.B) {
 	guest, err := topology.RandomGuest(rand.New(rand.NewSource(1)), 1024, 4)
 	if err != nil {
@@ -52,18 +54,28 @@ func BenchmarkRoutePackets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ring, err := topology.Ring(128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	both := []PortMode{MultiPort, SinglePort}
+	greedy := func(mode PortMode) Router { return &GreedyRouter{Mode: mode} }
 	hosts := []struct {
 		name   string
 		g      *graph.Graph
+		p      *Problem
+		modes  []PortMode
 		router func(PortMode) Router
 	}{
-		{"torus", torus, func(mode PortMode) Router { return &DimensionOrderRouter{N: 8, Wrap: true, Mode: mode} }},
-		{"expander", expander, func(mode PortMode) Router { return &GreedyRouter{Mode: mode} }},
-		{"ccc", ccc, func(mode PortMode) Router { return &GreedyRouter{Mode: mode} }},
+		{"torus", torus, guestRelation(guest, torus.N()), both,
+			func(mode PortMode) Router { return &DimensionOrderRouter{N: 8, Wrap: true, Mode: mode} }},
+		{"expander", expander, guestRelation(guest, expander.N()), both, greedy},
+		{"ccc", ccc, guestRelation(guest, ccc.N()), both, greedy},
+		{"ring", ring, RandomHH(rand.New(rand.NewSource(1)), ring.N(), 64), []PortMode{MultiPort}, greedy},
 	}
 	for _, h := range hosts {
-		p := guestRelation(guest, h.g.N())
-		for _, mode := range []PortMode{MultiPort, SinglePort} {
+		p := h.p
+		for _, mode := range h.modes {
 			r := h.router(mode)
 			b.Run(fmt.Sprintf("%s/%s", h.name, mode), func(b *testing.B) {
 				b.ReportAllocs()

@@ -65,3 +65,23 @@ func TestRouterResultPins(t *testing.T) {
 		}
 	}
 }
+
+// TestRingRouteResultPin pins the regime where a step moves few of its
+// waiting packets: greedy multi-port routing of a random 64–64 problem on a
+// 128-node ring, where each node starts with 64 packets queued on its two
+// edges and about 3% of packet-steps are moves.
+func TestRingRouteResultPin(t *testing.T) {
+	g, err := topology.Ring(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := RandomHH(rand.New(rand.NewSource(1)), 128, 64)
+	res, err := (&GreedyRouter{}).Route(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]int{res.Steps, res.TotalHops, res.MaxQueue, res.Delivered}
+	if want := [4]int{1077, 262056, 64, 8192}; got != want {
+		t.Errorf("{Steps, TotalHops, MaxQueue, Delivered} = %v, want %v", got, want)
+	}
+}

@@ -12,6 +12,8 @@ package routing
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -198,18 +200,30 @@ func MinIndexNextHop(g *graph.Graph, at, dst int, distToDst []int, _ *rand.Rand)
 }
 
 // RandomNextHop picks a uniformly random neighbor that makes progress,
-// breaking path symmetry (helps congestion on tori).
+// breaking path symmetry (helps congestion on tori). It counts the
+// progressing neighbors, draws once and returns the drawn one in neighbor
+// order, without collecting them.
 func RandomNextHop(g *graph.Graph, at, dst int, distToDst []int, rng *rand.Rand) int {
-	var opts []int
-	for _, w := range g.Neighbors(at) {
-		if distToDst[w] == distToDst[at]-1 {
-			opts = append(opts, w)
+	nb, want := g.Neighbors(at), distToDst[at]-1
+	count := 0
+	for _, w := range nb {
+		if distToDst[w] == want {
+			count++
 		}
 	}
-	if len(opts) == 0 {
+	if count == 0 {
 		return -1
 	}
-	return opts[rng.Intn(len(opts))]
+	k := rng.Intn(count)
+	for _, w := range nb {
+		if distToDst[w] == want {
+			if k == 0 {
+				return w
+			}
+			k--
+		}
+	}
+	return -1
 }
 
 // distanceCache caches BFS distance vectors, one row per destination,
@@ -267,16 +281,14 @@ func LowerBoundSteps(g *graph.Graph, p *Problem) (int, error) {
 	return maxDist, nil
 }
 
-// packet is the in-flight representation. left caches the distance to go
-// and pos the directed-edge position of the hop it takes next, -1 until
-// hop is asked from where it stands.
+// packet is the in-flight representation: its pair index, where it stands,
+// where it goes and the hops it has taken. Its place in the edge queues
+// sits at the same index of edgeQueues.entry.
 type packet struct {
 	id   int
 	at   int
 	dst  int
 	hops int
-	left int
-	pos  int
 }
 
 // stepRules is what a packet-stepping router hands stepPackets: its step
@@ -372,13 +384,81 @@ func (r *GreedyRouter) rules(g *graph.Graph, p *Problem) (stepRules, error) {
 	}, nil
 }
 
-// edgeSlot is one directed edge's winner in stepPackets: the index in the
-// live slice of the packet that holds the edge, valid in the step stamped.
-type edgeSlot struct{ stamp, winner int }
+// nodeSlot is one node's state in stepPackets: the steps in which it last
+// sent and received (single-port admission, stamped with the step instead
+// of cleared) and the count of undelivered packets at it.
+type nodeSlot struct{ sent, received, waiting int }
 
-// nodeSlot is one node's single-port admission and queue count in
-// stepPackets, each field valid in the step it stamps.
-type nodeSlot struct{ sent, received, counted, queue int }
+// rank packs the arbitration order of a packet with left to go and index i
+// into one key, the smaller first: most distance left, then lower index,
+// which is lower packet id. left must fit in an int32 and i in a uint32.
+func rank(left, i int) uint64 {
+	return uint64(math.MaxInt32-left)<<32 | uint64(i)
+}
+
+// queueEntry is one packet's place in edgeQueues: its arbitration key, its
+// first child and its next sibling.
+type queueEntry struct {
+	key        uint64
+	child, sib int32
+}
+
+// edgeQueues keeps the packets waiting on each directed-edge position in a
+// pairing heap ordered by key. head[e] is the root of position e's heap, -1
+// when it is empty, and entry, indexed like the packets, links the rest, so
+// all the queues share one pool: an entry per packet and an int32 head per
+// position.
+type edgeQueues struct {
+	head  []int32
+	entry []queueEntry
+}
+
+// meld joins the heaps rooted at a and b and returns the new root. A root's
+// sib is never read.
+func (q *edgeQueues) meld(a, b int32) int32 {
+	if q.entry[b].key < q.entry[a].key {
+		a, b = b, a
+	}
+	q.entry[b].sib = q.entry[a].child
+	q.entry[a].child = b
+	return a
+}
+
+// push adds packet i to position e's queue.
+func (q *edgeQueues) push(e int, i int32) {
+	q.entry[i].child = -1
+	if r := q.head[e]; r >= 0 {
+		i = q.meld(r, i)
+	}
+	q.head[e] = i
+}
+
+// pop removes the root of position e's queue. Its children are melded in
+// the pairing heap's two passes: in pairs from the first, each pair's root
+// stacked through sib, then from the top of that stack down.
+func (q *edgeQueues) pop(e int) {
+	stack := int32(-1)
+	for c := q.entry[q.head[e]].child; c >= 0; {
+		d := q.entry[c].sib
+		if d < 0 {
+			q.entry[c].sib, stack = stack, c
+			break
+		}
+		next := q.entry[d].sib
+		m := q.meld(c, d)
+		q.entry[m].sib, stack = stack, m
+		c = next
+	}
+	root := stack
+	if root >= 0 {
+		for s := q.entry[root].sib; s >= 0; {
+			next := q.entry[s].sib
+			root = q.meld(root, s)
+			s = next
+		}
+	}
+	q.head[e] = root
+}
 
 // stepPackets routes p on g in synchronous store-and-forward steps; it is
 // the step loop of every packet-stepping router. Its contract:
@@ -397,37 +477,56 @@ type nodeSlot struct{ sent, received, counted, queue int }
 //     any step;
 //   - routing fails after rules.maxStep steps.
 //
-// A packet's distance is taken when it is created and after each move, so
-// rules.dist must depend on (at, dst) alone. Arbitration runs on dense
-// arrays indexed by directed-edge position in g's rows (Adjacency: u's
-// offset plus v's index in Neighbors(u)), so edge position order is (u, v)
-// order; the rows give each position's head v, and entries are stamped with
-// the step instead of being cleared. Every pair must lie in [0, g.N()).
+// Under fixedHop a step costs its moves, not its waiting packets. A
+// packet's distance is taken when it is created and after each move, so
+// rules.dist must depend on (at, dst) alone; its key keeps it. Each directed-edge position in g's
+// rows (Adjacency: u's offset plus v's index in Neighbors(u)) queues its
+// waiting packets in edgeQueues, and a bitset over positions marks the
+// non-empty queues, so a step walks the active edges in (u, v) order and
+// pops one winner from each; a blocked single-port winner stays queued. The
+// packets that must ask rules.hop are marked in a bitset over packet
+// indices, which the next step walks in packet order: under fixedHop the
+// packets that moved, otherwise every undelivered packet, with the queues
+// emptied after each step. A packet is delivered at its move. Per-node
+// counts follow the moves, every sender before any receiver, so MaxQueue
+// scans all nodes only after the first step and then the receivers. Every
+// pair must lie in [0, g.N()), and there are fewer than 2³¹ packets.
 func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Result, error) {
 	var res Result
-	live := make([]packet, 0, len(p.Pairs))
+	off, nbr := g.Adjacency()
+	nodes := make([]nodeSlot, g.N())
+	pks := make([]packet, 0, len(p.Pairs))
 	for i, pr := range p.Pairs {
 		if pr.Src == pr.Dst {
 			res.Delivered++
 			continue
 		}
-		live = append(live, packet{id: i, at: pr.Src, dst: pr.Dst, pos: -1})
-		pk := &live[len(live)-1]
-		pk.left = rules.dist(pk)
+		pks = append(pks, packet{id: i, at: pr.Src, dst: pr.Dst})
+		nodes[pr.Src].waiting++
 	}
-	off, to := g.Adjacency()
-	edges := make([]edgeSlot, len(to))
-	nodes := make([]nodeSlot, g.N())
-	var used []int // positions of the edges with a winner this step
-	for step := 0; len(live) > 0; step++ {
+	q := edgeQueues{head: make([]int32, len(nbr)), entry: make([]queueEntry, len(pks))}
+	for i := range pks {
+		q.entry[i].key = rank(rules.dist(&pks[i]), i)
+	}
+	for e := range q.head {
+		q.head[e] = -1
+	}
+	words := (len(nbr) + 63) / 64
+	bitsets := make([]uint64, words+(len(pks)+63)/64)
+	active, pending := bitsets[:words], bitsets[words:]
+	for i := range pks {
+		pending[i/64] |= 1 << (i % 64)
+	}
+	undelivered := len(pks)
+	for step := 0; undelivered > 0; step++ {
 		if step >= rules.maxStep {
-			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", rules.maxStep, len(live))
+			return res, fmt.Errorf("routing: step bound %d exceeded with %d packets undelivered", rules.maxStep, undelivered)
 		}
-		stamp := step + 1
-		used = used[:0]
-		for i := range live {
-			pk := &live[i]
-			if pk.pos < 0 || !rules.fixedHop {
+		// Each pending packet asks its hop and joins that edge's queue.
+		for w := range pending {
+			for b := pending[w]; b != 0; b &= b - 1 {
+				i := w*64 + bits.TrailingZeros64(b)
+				pk := &pks[i]
 				v, err := rules.hop(pk)
 				if err != nil {
 					return res, err
@@ -436,53 +535,67 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 				if !ok {
 					return res, fmt.Errorf("routing: packet %d hops from %d to %d, which is not a neighbor", pk.id, pk.at, v)
 				}
-				pk.pos = off[pk.at] + j
+				e := off[pk.at] + j
+				q.push(e, int32(i))
+				active[e/64] |= 1 << (e % 64)
 			}
-			e := &edges[pk.pos]
-			if e.stamp != stamp {
-				*e = edgeSlot{stamp: stamp, winner: i}
-				used = append(used, pk.pos)
-				continue
-			}
-			if cur := &live[e.winner]; pk.left > cur.left || pk.left == cur.left && pk.id < cur.id {
-				e.winner = i
+			if rules.fixedHop {
+				pending[w] = 0
 			}
 		}
-		if mode == SinglePort {
-			slices.Sort(used)
-		}
-		for _, e := range used {
-			pk := &live[edges[e].winner]
-			v := to[e]
-			if mode == SinglePort {
-				if nodes[pk.at].sent == stamp || nodes[v].received == stamp {
+		// Each active edge's winner crosses it; arrivals are chained
+		// through sib and counted after every departure.
+		stamp, arrived := step+1, int32(-1)
+		for w := range active {
+			for b := active[w]; b != 0; b &= b - 1 {
+				e := w*64 + bits.TrailingZeros64(b)
+				i := q.head[e]
+				pk := &pks[i]
+				v := nbr[e]
+				if mode == SinglePort {
+					if nodes[pk.at].sent == stamp || nodes[v].received == stamp {
+						continue
+					}
+					nodes[pk.at].sent = stamp
+					nodes[v].received = stamp
+				}
+				q.pop(e)
+				if q.head[e] < 0 {
+					active[w] &^= 1 << (e % 64)
+				}
+				nodes[pk.at].waiting--
+				pk.at = v
+				pk.hops++
+				if v == pk.dst {
+					res.Delivered++
+					res.TotalHops += pk.hops
+					undelivered--
+					pending[i/64] &^= 1 << (i % 64)
 					continue
 				}
-				nodes[pk.at].sent = stamp
-				nodes[v].received = stamp
+				q.entry[i].key = rank(rules.dist(pk), int(i))
+				pending[i/64] |= 1 << (i % 64)
+				q.entry[i].sib, arrived = arrived, i
 			}
-			pk.at = v
-			pk.hops++
-			pk.left = rules.dist(pk)
-			pk.pos = -1
 		}
-		// Deliveries and stats.
-		next := live[:0]
-		for _, pk := range live {
-			if pk.at == pk.dst {
-				res.Delivered++
-				res.TotalHops += pk.hops
-				continue
-			}
-			nd := &nodes[pk.at]
-			if nd.counted != stamp {
-				nd.counted, nd.queue = stamp, 0
-			}
-			nd.queue++
-			res.MaxQueue = max(res.MaxQueue, nd.queue)
-			next = append(next, pk)
+		for i := arrived; i >= 0; i = q.entry[i].sib {
+			nd := &nodes[pks[i].at]
+			nd.waiting++
+			res.MaxQueue = max(res.MaxQueue, nd.waiting)
 		}
-		live = next
+		if step == 0 {
+			for _, nd := range nodes {
+				res.MaxQueue = max(res.MaxQueue, nd.waiting)
+			}
+		}
+		if !rules.fixedHop {
+			for w := range active {
+				for b := active[w]; b != 0; b &= b - 1 {
+					q.head[w*64+bits.TrailingZeros64(b)] = -1
+				}
+				active[w] = 0
+			}
+		}
 		res.Steps = step + 1
 	}
 	return res, nil

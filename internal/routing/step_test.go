@@ -151,10 +151,10 @@ func runLoop(t testing.TB, loop func(*Problem, PortMode, stepRules) (Result, err
 // TotalHops of them.
 func compareLoops(t testing.TB, name string, rf rulesFor, g *graph.Graph, p *Problem, mode PortMode) {
 	t.Helper()
-	dense := func(p *Problem, mode PortMode, rules stepRules) (Result, error) {
+	queued := func(p *Problem, mode PortMode, rules stepRules) (Result, error) {
 		return stepPackets(g, p, mode, rules)
 	}
-	got, gotCalls, gotErr := runLoop(t, dense, rf, g, p, mode)
+	got, gotCalls, gotErr := runLoop(t, queued, rf, g, p, mode)
 	want, wantCalls, wantErr := runLoop(t, referenceStepPackets, rf, g, p, mode)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s %v: error %v, reference %v", name, mode, gotErr, wantErr)
@@ -193,13 +193,14 @@ func withoutRepeats(calls []hopCall) []hopCall {
 	return out
 }
 
-// TestStepPacketsMatchesReference runs the dense loop and the map-based
+// TestStepPacketsMatchesReference runs the queued loop and the map-based
 // reference on seeded h–h problems (h ∈ {1, 2, 4, 8}, with added self-pairs)
 // on ring, mesh, torus, wrapped butterfly, ccc and random-regular hosts, in
 // both port modes, under greedy min-index and random-hop rules, random-walk
 // rules and, on the mesh and torus, dimension-order rules; about a third of the
 // greedy and dimension-order runs cap the steps so the step-bound error is
-// compared too.
+// compared too. Then h = 32 on the ring and the torus, under the same rules,
+// modes and caps, queues tens of packets on one edge.
 func TestStepPacketsMatchesReference(t *testing.T) {
 	type host struct {
 		name  string
@@ -226,42 +227,50 @@ func TestStepPacketsMatchesReference(t *testing.T) {
 		t.Fatal("random-regular host is disconnected")
 	}
 	instances := 0
-	for seed := int64(1); seed <= 2; seed++ {
-		for _, h := range hosts {
-			n := h.g.N()
-			for _, hh := range []int{1, 2, 4, 8} {
-				rng := rand.New(rand.NewSource(seed*100 + int64(hh)))
-				p := RandomHH(rng, n, hh)
-				for k := 0; k < hh; k++ {
-					v := rng.Intn(n)
-					p.Pairs = append(p.Pairs, Pair{Src: v, Dst: v})
-				}
-				maxStep := 0
-				if instances%3 == 2 {
-					maxStep = 1 + rng.Intn(4)
-				}
-				names := []string{"min-index", "random", "wander"}
-				rules := []rulesFor{
-					(&GreedyRouter{MaxStep: maxStep}).rules,
-					(&GreedyRouter{Policy: RandomNextHop, Seed: seed, MaxStep: maxStep}).rules,
-					wanderRules(seed, 4*n),
-				}
-				if h.side > 0 {
-					names = append(names, "dimorder")
-					rules = append(rules, (&DimensionOrderRouter{N: h.side, Wrap: h.torus, MaxStep: maxStep}).rules)
-				}
-				for ri, rf := range rules {
-					for _, mode := range []PortMode{MultiPort, SinglePort} {
-						name := fmt.Sprintf("seed %d %s h=%d %s maxStep=%d", seed, h.name, hh, names[ri], maxStep)
-						compareLoops(t, name, rf, h.g, p, mode)
-						instances++
-					}
-				}
+	run := func(seed int64, h host, hh int) {
+		n := h.g.N()
+		rng := rand.New(rand.NewSource(seed*100 + int64(hh)))
+		p := RandomHH(rng, n, hh)
+		for k := 0; k < hh; k++ {
+			v := rng.Intn(n)
+			p.Pairs = append(p.Pairs, Pair{Src: v, Dst: v})
+		}
+		maxStep := 0
+		if instances%3 == 2 {
+			maxStep = 1 + rng.Intn(4)
+		}
+		names := []string{"min-index", "random", "wander"}
+		rules := []rulesFor{
+			(&GreedyRouter{MaxStep: maxStep}).rules,
+			(&GreedyRouter{Policy: RandomNextHop, Seed: seed, MaxStep: maxStep}).rules,
+			wanderRules(seed, 4*n),
+		}
+		if h.side > 0 {
+			names = append(names, "dimorder")
+			rules = append(rules, (&DimensionOrderRouter{N: h.side, Wrap: h.torus, MaxStep: maxStep}).rules)
+		}
+		for ri, rf := range rules {
+			for _, mode := range []PortMode{MultiPort, SinglePort} {
+				name := fmt.Sprintf("seed %d %s h=%d %s maxStep=%d", seed, h.name, hh, names[ri], maxStep)
+				compareLoops(t, name, rf, h.g, p, mode)
+				instances++
 			}
 		}
 	}
-	if instances < 200 {
-		t.Fatalf("%d instances, want at least 200", instances)
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, h := range hosts {
+			for _, hh := range []int{1, 2, 4, 8} {
+				run(seed, h, hh)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, h := range []host{hosts[0], hosts[2]} {
+			run(seed, h, 32)
+		}
+	}
+	if instances < 348 {
+		t.Fatalf("%d instances, want at least 348", instances)
 	}
 }
 
@@ -272,6 +281,27 @@ func FuzzStepPackets(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 3, 0, 4, 4, 1, 3, 2, 2, 0})
 	f.Add([]byte{15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 3, 200, 9, 14, 14, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 9, 3})
+	// 64 pairs leave one end of a 16-node path, so they all queue on its
+	// one edge and heaps 64 deep restructure as the path delivers them.
+	path := []byte{0, 14}
+	for v := 1; v < 16; v++ {
+		path = append(path, byte(v-1))
+	}
+	path = append(path, 0)
+	for k := 0; k < 64; k++ {
+		path = append(path, 0, byte(1+7*k%15))
+	}
+	f.Add(path)
+	// The same from leaf 15 of a 16-node binary tree, in single-port mode.
+	tree := []byte{3, 14}
+	for v := 1; v < 16; v++ {
+		tree = append(tree, byte((v-1)/2))
+	}
+	tree = append(tree, 0)
+	for k := 0; k < 64; k++ {
+		tree = append(tree, 15, byte(k%15))
+	}
+	f.Add(tree)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
