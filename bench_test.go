@@ -338,6 +338,11 @@ func BenchmarkRedundancy(b *testing.B) {
 		if r.Regime == "m>n" && r.R == 16 {
 			b.ReportMetric(r.AvgFetchDist, "fetchdist_r16")
 		}
+		// The m ≤ n route steps are the engine's traffic: they move when
+		// the relation it routes does.
+		if r.Regime == "m≤n" && (r.R == 1 || r.R == 4) {
+			b.ReportMetric(float64(r.RouteSteps), fmt.Sprintf("routesteps_small_r%d", r.R))
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func E16Redundancy(n, T int, seed int64) ([]E16Row, error) {
 		if err != nil {
 			return err
 		}
-		rep, err := (&universal.RedundantSimulator{Host: host, Replicas: reps}).Run(comp, T)
+		rep, err := (&universal.FaultTolerantSimulator{Host: host, Replicas: reps}).Run(comp, T)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func guestRelation(guest *graph.Graph, m int) *Problem {
 
 // BenchmarkRoutePackets times the packet loop on the shape a simulation
 // miss routes: the relation of a 1024-guest, degree-4 random guest placed
-// i mod m on a 64-processor host, routed with no CachedRouter, by
+// i mod m on a 64-processor host, routed with no schedule cache, by
 // dimension-order on the 8×8 torus and greedily on a 4-regular random host
 // and on ccc(4), in both port modes. ring/multi-port is the regime where
 // few waiting packets move: a random 64–64 problem routed greedily on a

@@ -16,7 +16,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"universalnet/internal/cache"
 	"universalnet/internal/graph"
@@ -653,89 +652,26 @@ func (r *ValiantRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 	return out, nil
 }
 
-// CachedRouter memoizes results per problem: the §2 observation that a
-// bounded-degree guest's per-step relations "depend on G only, and,
-// therefore, are known in advance" — the schedule is computed once and its
-// cost replayed on repeats. Wrap any deterministic Router; problems are
-// keyed by graph hash plus their full pair multiset.
-//
-// The memo is a shared internal/cache LRU (byte-budgeted, singleflight),
-// so concurrent Route calls for the same problem compute once, and a
-// long-lived router cannot grow without bound. Leave Cache nil for a
-// private cache with DefaultScheduleBudget, or inject a shared one (e.g. a
-// service-wide schedule cache) to amortize across simulators.
-type CachedRouter struct {
-	Inner Router
-	// Cache holds the memoized schedules. Nil ⇒ a private cache is created
-	// on first use.
-	Cache *cache.Cache[string, Result]
-	// Obs, when non-nil, counts schedule-cache hits/misses/evictions (as
-	// routing.cache.*) via the cache's own instrumentation.
-	Obs *obs.Registry
-
-	once sync.Once
-}
-
-// DefaultScheduleBudget bounds a private schedule cache: enough for every
-// experiment in the suite (schedules are ~100 bytes) while capping a
-// long-running server's memory.
-const DefaultScheduleBudget = 1 << 22
-
 // ScheduleSize estimates the bytes a memoized Result occupies, for cache
 // budgets.
 func ScheduleSize(res Result) int64 {
 	return int64(8*5 + 16 + 8*len(res.StepsPerPhase))
 }
 
-// NewScheduleCache builds a cache suitable for CachedRouter.Cache, named
-// routing.cache so its obs counters keep the established metric names.
+// NewScheduleCache builds a schedule cache keyed by ProblemKey: the §2
+// observation that a bounded-degree guest's per-step relations "depend on
+// G only, and, therefore, are known in advance", so a schedule computed
+// once serves every later request for the same (host, relation). It is
+// named routing.cache, so its obs counters keep the established metric
+// names.
 func NewScheduleCache(budget int64, reg *obs.Registry) *cache.Cache[string, Result] {
 	return cache.New[string, Result]("routing.cache", budget, ScheduleSize, reg)
 }
 
-// Name implements Router.
-func (r *CachedRouter) Name() string { return "cached(" + r.Inner.Name() + ")" }
-
-// init ensures a cache exists and carries the router's registry.
-func (r *CachedRouter) init() {
-	r.once.Do(func() {
-		if r.Cache == nil {
-			r.Cache = NewScheduleCache(DefaultScheduleBudget, r.Obs)
-		} else if r.Obs != nil {
-			r.Cache.SetObs(r.Obs)
-		}
-	})
-}
-
-// SetObs implements Instrumentable, threading reg through to the schedule
-// cache and the inner router as well.
-func (r *CachedRouter) SetObs(reg *obs.Registry) {
-	r.Obs = reg
-	r.init()
-	r.Cache.SetObs(reg)
-	SetObs(r.Inner, reg)
-}
-
-// Route implements Router.
-func (r *CachedRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
-	return r.RouteKey(g, p, ProblemKey(g, p))
-}
-
-// RouteKey is Route with the schedule key already computed: key must be
-// ProblemKey(g, p). A caller that routes one problem many times, as a
-// simulation does every guest step, keys it once and still consults the
-// cache on every call.
-func (r *CachedRouter) RouteKey(g *graph.Graph, p *Problem, key string) (Result, error) {
-	r.init()
-	return r.Cache.GetOrCompute(key, func() (Result, error) {
-		return r.Inner.Route(g, p)
-	})
-}
-
-// ProblemKey folds the graph identity and the sorted pair multiset into
-// CachedRouter's schedule key. Each pair is packed as Src<<32|Dst, so one
-// integer sort puts in-range pairs in (Src, Dst) order; the key only has to
-// be canonical, and its bytes never leave the cache.
+// ProblemKey folds the graph identity and the sorted pair multiset into a
+// schedule key. Each pair is packed as Src<<32|Dst, so one integer sort
+// puts in-range pairs in (Src, Dst) order; the key only has to be
+// canonical, and its bytes never leave the cache.
 func ProblemKey(g *graph.Graph, p *Problem) string {
 	packed := make([]uint64, len(p.Pairs))
 	for i, pr := range p.Pairs {

@@ -384,8 +384,9 @@ func (s *Service) computeRoute(req RouteRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	router := &routing.CachedRouter{Inner: host.Router, Cache: s.schedules, Obs: s.obs}
-	res, err := router.Route(host.Graph, p)
+	res, err := s.schedules.GetOrCompute(routing.ProblemKey(host.Graph, p), func() (routing.Result, error) {
+		return host.Router.Route(host.Graph, p)
+	})
 	if err != nil {
 		return nil, err
 	}

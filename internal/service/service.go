@@ -11,8 +11,8 @@
 // computes each artifact once and serves it many times. Three caches share
 // the internal/cache implementation: request results (keyed by the full
 // request), host graphs (keyed by topology/m/seed), and routing schedules
-// (keyed by host-graph hash + relation; consulted by the universal and
-// routing hot paths via CachedRouter).
+// (keyed by routing.ProblemKey, the host-graph hash plus the relation;
+// consulted once per simulation run and once per /v1/route miss).
 package service
 
 import (

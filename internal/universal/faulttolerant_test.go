@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"universalnet/internal/faults"
 	"universalnet/internal/graph"
+	"universalnet/internal/routing"
 	"universalnet/internal/sim"
 	"universalnet/internal/topology"
 )
@@ -199,9 +201,11 @@ func TestFaultTolerantDeterministic(t *testing.T) {
 }
 
 // TestNearestReplicaFetchDistance pins the nearest-replica selection of
-// RedundantSimulator with a hand-computed instance: two adjacent guests on
-// an 8-ring, replicas at hosts {0} and {3, 7}. The three fetches travel
-// distances 1 (0←7), 3 (3←0) and 1 (7←0): average 5/3.
+// a fault-free FaultTolerantSimulator run with a hand-computed instance:
+// two adjacent guests on an 8-ring, replicas at hosts {0} and {3, 7}. The
+// three fetches travel distances 1 (0←7), 3 (3←0) and 1 (7←0): average
+// 5/3. The relation ships guest 0 to hosts 3 and 7, and guest 1 to host 0
+// from its nearer replica, host 7.
 func TestNearestReplicaFetchDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	guest, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})
@@ -217,9 +221,15 @@ func TestNearestReplicaFetchDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&RedundantSimulator{Host: host, Replicas: [][]int{{0}, {3, 7}}}).Run(comp, 3)
+	rec := &recordingRouter{inner: host.Router}
+	host.Router = rec
+	rep, err := (&FaultTolerantSimulator{Host: host, Replicas: [][]int{{0}, {3, 7}}}).Run(comp, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := []routing.Pair{{Src: 0, Dst: 3}, {Src: 0, Dst: 7}, {Src: 7, Dst: 0}}
+	if len(rec.problems) != 1 || !slices.Equal(rec.problems[0], want) {
+		t.Errorf("routed %v, want the relation %v once", rec.problems, want)
 	}
 	if want := 5.0 / 3.0; math.Abs(rep.AvgFetchDist-want) > 1e-9 {
 		t.Errorf("AvgFetchDist = %v, want %v (nearest-replica selection broken)", rep.AvgFetchDist, want)

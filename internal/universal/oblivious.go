@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"universalnet/internal/pebble"
 	"universalnet/internal/routing"
 	"universalnet/internal/sim"
 )
@@ -92,27 +93,12 @@ func (es *EmbeddingSimulator) RunOblivious(init []sim.State, pattern ObliviousPa
 	}
 	f := es.F
 	if f == nil {
-		f = make([]int, n)
-		for i := range f {
-			f[i] = i % m
-		}
+		f = pebble.BalancedAssignment(n, m)
 	}
-	if len(f) != n {
-		return nil, fmt.Errorf("universal: assignment length %d, want %d", len(f), n)
+	if err := checkAssignment(f, n, m); err != nil {
+		return nil, err
 	}
-	load := make([]int, m)
-	for i, q := range f {
-		if q < 0 || q >= m {
-			return nil, fmt.Errorf("universal: guest %d on invalid host %d", i, q)
-		}
-		load[q]++
-	}
-	maxLoad := 0
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
+	maxLoad := pebble.MaxLoad(f, m)
 
 	// Host-local knowledge: arrived[q][i] = the message i's sender shipped
 	// this round, if it has arrived at q. mem[q][i] = i's own newest state

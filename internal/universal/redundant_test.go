@@ -57,7 +57,7 @@ func TestRedundantSimulatorMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := (&RedundantSimulator{Host: host, Replicas: reps}).Run(comp, 4)
+		rep, err := (&FaultTolerantSimulator{Host: host, Replicas: reps}).Run(comp, 4)
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
@@ -87,7 +87,7 @@ func TestRedundantReducesFetchDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := (&RedundantSimulator{Host: host, Replicas: reps}).Run(comp, 2)
+		rep, err := (&FaultTolerantSimulator{Host: host, Replicas: reps}).Run(comp, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestRedundantSimulatorGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &RedundantSimulator{Host: host, Replicas: [][]int{{0}}}
+	rs := &FaultTolerantSimulator{Host: host, Replicas: [][]int{{0}}}
 	if _, err := rs.Run(comp, 2); err == nil {
 		t.Error("wrong replica table size accepted")
 	}
@@ -118,17 +118,17 @@ func TestRedundantSimulatorGuards(t *testing.T) {
 		bad[i] = []int{0}
 	}
 	bad[3] = []int{}
-	rs = &RedundantSimulator{Host: host, Replicas: bad}
+	rs = &FaultTolerantSimulator{Host: host, Replicas: bad}
 	if _, err := rs.Run(comp, 2); err == nil {
 		t.Error("empty replica set accepted")
 	}
 	bad[3] = []int{0, 0}
-	rs = &RedundantSimulator{Host: host, Replicas: bad}
+	rs = &FaultTolerantSimulator{Host: host, Replicas: bad}
 	if _, err := rs.Run(comp, 2); err == nil {
 		t.Error("duplicate replica accepted")
 	}
 	bad[3] = []int{99}
-	rs = &RedundantSimulator{Host: host, Replicas: bad}
+	rs = &FaultTolerantSimulator{Host: host, Replicas: bad}
 	if _, err := rs.Run(comp, 2); err == nil {
 		t.Error("invalid replica host accepted")
 	}
@@ -151,7 +151,7 @@ func TestRedundantDegenerateToEmbedding(t *testing.T) {
 	for i := range reps {
 		reps[i] = []int{i % 16}
 	}
-	rep, err := (&RedundantSimulator{Host: host, Replicas: reps}).Run(comp, 3)
+	rep, err := (&FaultTolerantSimulator{Host: host, Replicas: reps}).Run(comp, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

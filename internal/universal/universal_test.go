@@ -90,22 +90,34 @@ func TestEmbeddingSimulatorCorrectness(t *testing.T) {
 	}
 }
 
-// TestEmbeddingSimulatorConsultsSchedulesEveryStep: the relation is keyed
-// once per run, but the schedule cache is still consulted at every guest
-// step, so a 5-step run counts one miss and four hits.
-func TestEmbeddingSimulatorConsultsSchedulesEveryStep(t *testing.T) {
+// TestEmbeddingSimulatorConsultsSchedulesOncePerRun: a run routes its
+// fixed relation once, so a 5-step run consults the schedule cache once
+// (a miss), and a second run of the same relation on the same host hits.
+func TestEmbeddingSimulatorConsultsSchedulesOncePerRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	guest, err := topology.RandomGuest(rng, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedules := routing.NewScheduleCache(routing.DefaultScheduleBudget, obs.New())
+	comp := sim.MixMod(guest, rng)
+	schedules := routing.NewScheduleCache(1<<20, obs.New())
 	es := &EmbeddingSimulator{Host: mustHost(t)(TorusHost(16)), Schedules: schedules}
-	if _, err := es.Run(sim.MixMod(guest, rng), 5); err != nil {
+	first, err := es.Run(comp, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := schedules.Stats(); st.Misses != 1 || st.Hits != 4 {
-		t.Errorf("schedule cache: %d misses, %d hits; want 1 and 4", st.Misses, st.Hits)
+	if st := schedules.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("first run: %d misses, %d hits; want 1 and 0", st.Misses, st.Hits)
+	}
+	second, err := es.Run(comp, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := schedules.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("second run: %d misses, %d hits; want 1 and 1", st.Misses, st.Hits)
+	}
+	if first.RouteSteps != second.RouteSteps {
+		t.Errorf("replayed schedule charged %d route steps, routed one %d", second.RouteSteps, first.RouteSteps)
 	}
 }
 

@@ -255,9 +255,6 @@ var (
 	PlaceReplicas = universal.PlaceReplicas
 )
 
-// RedundantSimulator simulates with replicated guests (the m > n regime).
-type RedundantSimulator = universal.RedundantSimulator
-
 // BenesHost is the wrapped Beneš host of Theorem 2.1's proof.
 type BenesHost = universal.BenesHost
 
