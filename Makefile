@@ -54,11 +54,11 @@ perfbench-test:
 # `uninet trace` runs on a peer's /metrics for 10 s each: malformed input
 # must be an error, never a panic or an out-of-memory crash. Then the
 # chunk step codec for 10 s: decoded steps must re-encode to the reference
-# encoder's bytes. Then the routers' packet loop for 10 s: on small
-# connected graphs it must match the map-based reference loop result for
-# result and error for error, and make the reference's hop calls in order,
-# less, under fixed-hop rules, each packet's repeats from the node it last
-# asked from. Last, /v1 request decoding plus Validate for 10 s: nothing may
+# encoder's bytes. Then the routers' packet loop for 30 s, since its
+# reference is what guards the edge queues: on small connected graphs it
+# must match the map-based reference loop result for result and error for
+# error, and make the reference's hop calls in order, less, under
+# fixed-hop rules, each packet's repeats from the node it last asked from. Last, /v1 request decoding plus Validate for 10 s: nothing may
 # panic, and an accepted small request's host, guest and route pattern
 # must build, failing only by random-generation chance.
 fuzz-smoke:
@@ -68,7 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpanContext$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStepCodec$$' -fuzztime 10s ./internal/pebble
-	$(GO) test -run '^$$' -fuzz '^FuzzStepPackets$$' -fuzztime 10s ./internal/routing
+	$(GO) test -run '^$$' -fuzz '^FuzzStepPackets$$' -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s ./internal/service
 
 bench:

@@ -93,10 +93,11 @@ func E14Table(n int, rows []E14Row) *Table {
 }
 
 // ---------------------------------------------------------------------------
-// E16 — §1: dynamic embeddings increase efficiency iff m > n. Replication
-// shrinks routing distances (toward the [14] constant-slowdown regime) at
-// the price of multiplied compute; for m ≤ n replication can only hurt —
-// exactly the asymmetry Theorem 3.1's tightness statement formalizes.
+// E16 — §1: dynamic embeddings increase efficiency iff m > n ([14]).
+// Replication shrinks the fetch distance, the locality [14] exploits, but
+// here every replica recomputes its guest and every host holding a
+// neighbour's replica receives the configuration, so compute and traffic
+// grow with r and the slowdown rises with r in both regimes at these sizes.
 
 // E16Row is one replication point.
 type E16Row struct {
@@ -168,7 +169,7 @@ func E16Redundancy(n, T int, seed int64) ([]E16Row, error) {
 // E16Table formats E16 rows.
 func E16Table(rows []E16Row) *Table {
 	t := &Table{
-		Title:   "E16 (§1): redundancy (dynamic embedding) — helps for m>n, hurts for m≤n",
+		Title:   "E16 (§1): redundancy (dynamic embedding) — replication shortens the fetch distance; the slowdown rises with r at these sizes",
 		Columns: []string{"regime", "m", "n", "replicas r", "avg fetch dist", "route steps", "slowdown", "verified"},
 	}
 	for _, r := range rows {

@@ -270,7 +270,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID:      "E16",
-			Claim:   "§1: replication (dynamic embedding) helps iff m > n",
+			Claim:   "§1: replication (dynamic embedding) shortens the fetch distance; the slowdown rises with r at these sizes",
 			Modules: "universal,sim",
 			Run: func(ctx context.Context, cfg Config) (Result, error) {
 				rows, err := E16Redundancy(48, 3, cfg.SeedFor("E16"))

@@ -11,6 +11,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -395,68 +396,124 @@ func rank(left, i int) uint64 {
 	return uint64(math.MaxInt32-left)<<32 | uint64(i)
 }
 
-// queueEntry is one packet's place in edgeQueues: its arbitration key, its
-// first child and its next sibling.
-type queueEntry struct {
-	key        uint64
-	child, sib int32
-}
+// segment is one position's run in edgeQueues: n keys from off, in a block
+// with room for cap; a position with n == 0 holds no block.
+type segment struct{ off, n, cap int32 }
 
-// edgeQueues keeps the packets waiting on each directed-edge position in a
-// pairing heap ordered by key. head[e] is the root of position e's heap, -1
-// when it is empty, and entry, indexed like the packets, links the rest, so
-// all the queues share one pool: an entry per packet and an int32 head per
-// position.
+// freeBlock tags the header of a free block in edgeQueues.keys; the rest of
+// that header is the block's size class << 32 | the next free block plus
+// one. A live block's header is its position.
+const freeBlock = 1 << 63
+
+// edgeQueues keeps the keys of the packets waiting on each directed-edge
+// position sorted in descending order, so a position's winner is its last
+// key, whose low 32 bits are the packet index, and a push shifts only the
+// keys that outrank it. The runs share one arena, keys, sized once for the
+// route: each block is a header slot and room for keys, and the blocks tile
+// keys[:top]. A push into a full block moves the run to a block of the next
+// power of two, and an emptied queue releases its block. A released block
+// is cut into power-of-two pieces, each heading its size's free list
+// (free[c] is the offset plus one, 0 when the list is empty), so a block is
+// reused without allocating. When a size has no free block and the tail
+// past top is too short, compact slides the live blocks down over the free
+// ones; the arena grows only when that leaves less than an eighth of it
+// free.
 type edgeQueues struct {
-	head  []int32
-	entry []queueEntry
+	seg  []segment
+	keys []uint64
+	top  int32
+	free [32]int32
 }
 
-// meld joins the heaps rooted at a and b and returns the new root. A root's
-// sib is never read.
-func (q *edgeQueues) meld(a, b int32) int32 {
-	if q.entry[b].key < q.entry[a].key {
-		a, b = b, a
+// alloc returns the offset of an unused block of 2^c slots.
+func (q *edgeQueues) alloc(c int) int32 {
+	if h := q.free[c]; h != 0 {
+		q.free[c] = int32(uint32(q.keys[h-1]))
+		return h - 1
 	}
-	q.entry[b].sib = q.entry[a].child
-	q.entry[a].child = b
-	return a
-}
-
-// push adds packet i to position e's queue.
-func (q *edgeQueues) push(e int, i int32) {
-	q.entry[i].child = -1
-	if r := q.head[e]; r >= 0 {
-		i = q.meld(r, i)
-	}
-	q.head[e] = i
-}
-
-// pop removes the root of position e's queue. Its children are melded in
-// the pairing heap's two passes: in pairs from the first, each pair's root
-// stacked through sib, then from the top of that stack down.
-func (q *edgeQueues) pop(e int) {
-	stack := int32(-1)
-	for c := q.entry[q.head[e]].child; c >= 0; {
-		d := q.entry[c].sib
-		if d < 0 {
-			q.entry[c].sib, stack = stack, c
-			break
-		}
-		next := q.entry[d].sib
-		m := q.meld(c, d)
-		q.entry[m].sib, stack = stack, m
-		c = next
-	}
-	root := stack
-	if root >= 0 {
-		for s := q.entry[root].sib; s >= 0; {
-			next := q.entry[s].sib
-			root = q.meld(root, s)
-			s = next
+	if need := int(q.top) + 1<<c; need > len(q.keys) {
+		q.compact()
+		if need = int(q.top) + 1<<c; need > len(q.keys)-len(q.keys)/8 {
+			keys := make([]uint64, max(2*len(q.keys), need))
+			copy(keys, q.keys[:q.top])
+			q.keys = keys
 		}
 	}
-	q.head[e] = root
+	off := q.top
+	q.top += 1 << c
+	return off
+}
+
+// release frees the n-slot block at off, cut into power-of-two pieces.
+func (q *edgeQueues) release(off, n int32) {
+	for n > 0 {
+		c := bits.Len32(uint32(n)) - 1
+		q.keys[off] = freeBlock | uint64(c)<<32 | uint64(q.free[c])
+		q.free[c] = off + 1
+		off += 1 << c
+		n -= 1 << c
+	}
+}
+
+// compact slides the live blocks to the front of the arena in address
+// order, each cut to room for twice its keys, and empties the free lists.
+// A block never grows, so none overwrites a header not yet read.
+func (q *edgeQueues) compact() {
+	dst := int32(0)
+	for at := int32(0); at < q.top; {
+		h := q.keys[at]
+		if h&freeBlock != 0 {
+			at += 1 << (h >> 32 & 63)
+			continue
+		}
+		s := &q.seg[h]
+		size := 1 + s.cap
+		copy(q.keys[dst:dst+1+s.n], q.keys[at:at+1+s.n])
+		s.off, s.cap = dst+1, min(s.cap, 2*s.n)
+		at += size
+		dst += 1 + s.cap
+	}
+	q.top, q.free = dst, [32]int32{}
+}
+
+// push adds key to position e's queue.
+func (q *edgeQueues) push(e int, key uint64) {
+	s := &q.seg[e]
+	if s.n == s.cap {
+		c := bits.Len32(uint32(s.cap + 1))
+		off := q.alloc(c)
+		q.keys[off] = uint64(e)
+		copy(q.keys[off+1:off+1+s.n], q.keys[s.off:s.off+s.n])
+		if s.cap > 0 {
+			q.release(s.off-1, 1+s.cap)
+		}
+		s.off, s.cap = off+1, 1<<c-1
+	}
+	run := q.keys[s.off : s.off+s.n+1]
+	j := len(run) - 1
+	for ; j > 0 && run[j-1] < key; j-- {
+		run[j] = run[j-1]
+	}
+	run[j] = key
+	s.n++
+}
+
+// winner returns the packet index of position e's last key.
+func (q *edgeQueues) winner(e int) int {
+	s := q.seg[e]
+	return int(uint32(q.keys[s.off+s.n-1]))
+}
+
+// pop removes position e's winner and reports whether its queue is empty.
+func (q *edgeQueues) pop(e int) bool {
+	s := &q.seg[e]
+	s.n--
+	if s.n > 0 {
+		return false
+	}
+	q.release(s.off-1, 1+s.cap)
+	s.cap = 0
+	return true
 }
 
 // stepPackets routes p on g in synchronous store-and-forward steps; it is
@@ -477,19 +534,21 @@ func (q *edgeQueues) pop(e int) {
 //   - routing fails after rules.maxStep steps.
 //
 // Under fixedHop a step costs its moves, not its waiting packets. A
-// packet's distance is taken when it is created and after each move, so
-// rules.dist must depend on (at, dst) alone; its key keeps it. Each directed-edge position in g's
-// rows (Adjacency: u's offset plus v's index in Neighbors(u)) queues its
-// waiting packets in edgeQueues, and a bitset over positions marks the
-// non-empty queues, so a step walks the active edges in (u, v) order and
-// pops one winner from each; a blocked single-port winner stays queued. The
-// packets that must ask rules.hop are marked in a bitset over packet
-// indices, which the next step walks in packet order: under fixedHop the
-// packets that moved, otherwise every undelivered packet, with the queues
-// emptied after each step. A packet is delivered at its move. Per-node
-// counts follow the moves, every sender before any receiver, so MaxQueue
-// scans all nodes only after the first step and then the receivers. Every
-// pair must lie in [0, g.N()), and there are fewer than 2³¹ packets.
+// packet's distance is taken each time it joins a queue, so rules.dist must
+// depend on (at, dst) alone; its key keeps it while it waits. Each
+// directed-edge position in g's rows (Adjacency: u's offset plus v's index
+// in Neighbors(u)) queues its waiting packets in edgeQueues, and a bitset
+// over positions marks the non-empty queues, so a step walks the active
+// edges in (u, v) order and pops one winner from each; a blocked
+// single-port winner stays queued. The packets that must ask rules.hop are
+// marked in a bitset over packet indices, which the next step walks in
+// packet order: under fixedHop the packets that moved, otherwise every
+// undelivered packet, with the queues emptied after each step. A packet is
+// delivered at its move. Per-node counts follow the moves, and a bitset
+// over nodes marks the step's receivers, so MaxQueue scans all nodes only
+// after the first step and then the receivers, once every sender has left.
+// Every pair must lie in [0, g.N()), and there are fewer than 2²⁸ packets,
+// so the arena's int32 offsets cannot overflow.
 func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Result, error) {
 	var res Result
 	off, nbr := g.Adjacency()
@@ -503,16 +562,11 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 		pks = append(pks, packet{id: i, at: pr.Src, dst: pr.Dst})
 		nodes[pr.Src].waiting++
 	}
-	q := edgeQueues{head: make([]int32, len(nbr)), entry: make([]queueEntry, len(pks))}
-	for i := range pks {
-		q.entry[i].key = rank(rules.dist(&pks[i]), i)
-	}
-	for e := range q.head {
-		q.head[e] = -1
-	}
-	words := (len(nbr) + 63) / 64
-	bitsets := make([]uint64, words+(len(pks)+63)/64)
-	active, pending := bitsets[:words], bitsets[words:]
+	// Room for each key twice over and a header per queue.
+	q := edgeQueues{seg: make([]segment, len(nbr)), keys: make([]uint64, 2*len(pks)+min(len(nbr), len(pks)))}
+	words, nodeWords := (len(nbr)+63)/64, (g.N()+63)/64
+	bitsets := make([]uint64, words+nodeWords+(len(pks)+63)/64)
+	active, receivers, pending := bitsets[:words], bitsets[words:words+nodeWords], bitsets[words+nodeWords:]
 	for i := range pks {
 		pending[i/64] |= 1 << (i % 64)
 	}
@@ -535,20 +589,19 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 					return res, fmt.Errorf("routing: packet %d hops from %d to %d, which is not a neighbor", pk.id, pk.at, v)
 				}
 				e := off[pk.at] + j
-				q.push(e, int32(i))
+				q.push(e, rank(rules.dist(pk), i))
 				active[e/64] |= 1 << (e % 64)
 			}
 			if rules.fixedHop {
 				pending[w] = 0
 			}
 		}
-		// Each active edge's winner crosses it; arrivals are chained
-		// through sib and counted after every departure.
-		stamp, arrived := step+1, int32(-1)
+		// Each active edge's winner crosses it.
+		stamp := step + 1
 		for w := range active {
 			for b := active[w]; b != 0; b &= b - 1 {
 				e := w*64 + bits.TrailingZeros64(b)
-				i := q.head[e]
+				i := q.winner(e)
 				pk := &pks[i]
 				v := nbr[e]
 				if mode == SinglePort {
@@ -558,8 +611,7 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 					nodes[pk.at].sent = stamp
 					nodes[v].received = stamp
 				}
-				q.pop(e)
-				if q.head[e] < 0 {
+				if q.pop(e) {
 					active[w] &^= 1 << (e % 64)
 				}
 				nodes[pk.at].waiting--
@@ -572,15 +624,16 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 					pending[i/64] &^= 1 << (i % 64)
 					continue
 				}
-				q.entry[i].key = rank(rules.dist(pk), int(i))
 				pending[i/64] |= 1 << (i % 64)
-				q.entry[i].sib, arrived = arrived, i
+				nodes[v].waiting++
+				receivers[v/64] |= 1 << (v % 64)
 			}
 		}
-		for i := arrived; i >= 0; i = q.entry[i].sib {
-			nd := &nodes[pks[i].at]
-			nd.waiting++
-			res.MaxQueue = max(res.MaxQueue, nd.waiting)
+		for w := range receivers {
+			for b := receivers[w]; b != 0; b &= b - 1 {
+				res.MaxQueue = max(res.MaxQueue, nodes[w*64+bits.TrailingZeros64(b)].waiting)
+			}
+			receivers[w] = 0
 		}
 		if step == 0 {
 			for _, nd := range nodes {
@@ -590,10 +643,11 @@ func stepPackets(g *graph.Graph, p *Problem, mode PortMode, rules stepRules) (Re
 		if !rules.fixedHop {
 			for w := range active {
 				for b := active[w]; b != 0; b &= b - 1 {
-					q.head[w*64+bits.TrailingZeros64(b)] = -1
+					q.seg[w*64+bits.TrailingZeros64(b)] = segment{}
 				}
 				active[w] = 0
 			}
+			q.top, q.free = 0, [32]int32{}
 		}
 		res.Steps = step + 1
 	}
@@ -652,46 +706,37 @@ func (r *ValiantRouter) Route(g *graph.Graph, p *Problem) (Result, error) {
 	return out, nil
 }
 
-// ScheduleSize estimates the bytes a memoized Result occupies, for cache
-// budgets.
+// ScheduleSize bounds the bytes a memoized Result and its ProblemKey take,
+// for cache budgets: the Result, and a key of two uvarint headers and two
+// uvarints per pair, each at most 5 bytes for the node ids of any graph
+// that fits in memory (below 2³⁵). Delivered counts one packet per pair.
 func ScheduleSize(res Result) int64 {
-	return int64(8*5 + 16 + 8*len(res.StepsPerPhase))
+	key := 2*binary.MaxVarintLen64 + 10*res.Delivered
+	return int64(8*5 + 16 + 8*len(res.StepsPerPhase) + key)
 }
 
 // NewScheduleCache builds a schedule cache keyed by ProblemKey: the §2
 // observation that a bounded-degree guest's per-step relations "depend on
 // G only, and, therefore, are known in advance", so a schedule computed
-// once serves every later request for the same (host, relation). It is
-// named routing.cache, so its obs counters keep the established metric
-// names.
+// once serves every later request for the same (host, relation). It
+// charges each entry's key as well as its Result, so the budget bounds
+// both. It is named routing.cache, so its obs counters keep the
+// established metric names.
 func NewScheduleCache(budget int64, reg *obs.Registry) *cache.Cache[string, Result] {
 	return cache.New[string, Result]("routing.cache", budget, ScheduleSize, reg)
 }
 
-// ProblemKey folds the graph identity and the sorted pair multiset into a
-// schedule key. Each pair is packed as Src<<32|Dst, so one integer sort
-// puts in-range pairs in (Src, Dst) order; the key only has to be
-// canonical, and its bytes never leave the cache.
+// ProblemKey folds the graph identity and the pairs, in their order, into a
+// schedule key of uvarints. The order is part of the key because the
+// packet loops break ties by packet index, so two orders of one multiset
+// may route differently; the key's bytes never leave the cache.
 func ProblemKey(g *graph.Graph, p *Problem) string {
-	packed := make([]uint64, len(p.Pairs))
-	for i, pr := range p.Pairs {
-		packed[i] = uint64(pr.Src)<<32 | uint64(uint32(pr.Dst))
-	}
-	slices.Sort(packed)
-	var b []byte
-	b = appendUvarint(b, uint64(g.Hash()))
-	b = appendUvarint(b, uint64(p.N))
-	for _, x := range packed {
-		b = appendUvarint(b, x>>32)
-		b = appendUvarint(b, x&(1<<32-1))
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+2*len(p.Pairs))
+	b = binary.AppendUvarint(b, uint64(g.Hash()))
+	b = binary.AppendUvarint(b, uint64(p.N))
+	for _, pr := range p.Pairs {
+		b = binary.AppendUvarint(b, uint64(pr.Src))
+		b = binary.AppendUvarint(b, uint64(pr.Dst))
 	}
 	return string(b)
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"universalnet/internal/graph"
+	"universalnet/internal/obs"
 	"universalnet/internal/topology"
 )
 
@@ -575,5 +576,40 @@ func TestAllRoutersRespectLowerBound(t *testing.T) {
 					trial, r.Name(), res.Steps, lb)
 			}
 		}
+	}
+}
+
+// TestScheduleCacheChargesKeys fills a small-budget schedule cache with
+// distinct relations and checks that what it holds, each key's bytes
+// counted with its Result, stays within the budget.
+func TestScheduleCacheChargesKeys(t *testing.T) {
+	g, err := topology.Torus(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 16 << 10
+	c := NewScheduleCache(budget, obs.New())
+	rng := rand.New(rand.NewSource(3))
+	var keys []string
+	for k := 0; k < 200; k++ {
+		p := RandomHH(rng, 16, 4)
+		key := ProblemKey(g, p)
+		if _, err := c.GetOrCompute(key, func() (Result, error) { return (&GreedyRouter{}).Route(g, p) }); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	held, entries := 0, 0
+	for _, key := range keys {
+		if res, ok := c.Peek(key); ok {
+			held += len(key) + 8*5 + 16 + 8*len(res.StepsPerPhase)
+			entries++
+		}
+	}
+	if held > budget {
+		t.Errorf("%d entries hold %d bytes with their keys, budget %d", entries, held, budget)
+	}
+	if st := c.Stats(); st.Bytes > budget || st.Evictions == 0 {
+		t.Errorf("charged %d bytes of budget %d with %d evictions, want at most the budget and some evictions", st.Bytes, budget, st.Evictions)
 	}
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -403,20 +404,105 @@ func TestRoutersRejectOutOfRangePairs(t *testing.T) {
 	}
 }
 
-// TestProblemKeyCanonical: the schedule key ignores pair order and tells
-// apart problems that differ in one pair.
+// TestProblemKeyCanonical: the schedule key is the same for one ordered
+// relation built twice, tells apart problems that differ in one pair, and
+// tells apart two orders of one multiset, which the packet loop may route
+// differently since it breaks ties by packet index: the guest relation of
+// a 1024-guest, degree-4 random guest on ccc(4), routed greedily
+// multi-port, queues 85 packets at one node in order and 83 reversed.
 func TestProblemKeyCanonical(t *testing.T) {
 	g, err := topology.Torus(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := &Problem{N: 16, Pairs: []Pair{{3, 1}, {0, 15}, {3, 0}, {0, 15}}}
-	b := &Problem{N: 16, Pairs: []Pair{{0, 15}, {3, 0}, {0, 15}, {3, 1}}}
 	c := &Problem{N: 16, Pairs: []Pair{{0, 15}, {3, 0}, {0, 14}, {3, 1}}}
-	if ProblemKey(g, a) != ProblemKey(g, b) {
-		t.Error("reordered pairs change the key")
-	}
 	if ProblemKey(g, a) == ProblemKey(g, c) {
 		t.Error("different pairs share a key")
+	}
+
+	ccc, err := topology.CubeConnectedCycles(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relation := func() *Problem {
+		guest, err := topology.RandomGuest(rand.New(rand.NewSource(1)), 1024, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return guestRelation(guest, ccc.N())
+	}
+	p := relation()
+	if ProblemKey(ccc, p) != ProblemKey(ccc, relation()) {
+		t.Error("one ordered relation built twice has two keys")
+	}
+	rev := &Problem{N: p.N, Pairs: slices.Clone(p.Pairs)}
+	slices.Reverse(rev.Pairs)
+	if ProblemKey(ccc, p) == ProblemKey(ccc, rev) {
+		t.Error("two orders of one multiset share a key")
+	}
+	queue := func(p *Problem) int {
+		res, err := (&GreedyRouter{}).Route(ccc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MaxQueue
+	}
+	if got, gotRev := queue(p), queue(rev); got != 85 || gotRev != 83 {
+		t.Errorf("MaxQueue %d in order and %d reversed, want 85 and 83", got, gotRev)
+	}
+}
+
+// TestRoutePacketsAllocs pins the allocations of a route on
+// BenchmarkRoutePackets' torus and ring instances. The queues share one
+// arena sized for the route, so a route allocates the same whether a few
+// edges queue a packet each or every edge queues dozens: the torus
+// relation against its first 1/64, and the 64–64 ring problem against its
+// first pair to each destination, which asks for the same BFS rows.
+func TestRoutePacketsAllocs(t *testing.T) {
+	guest, err := topology.RandomGuest(rand.New(rand.NewSource(1)), 1024, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := topology.Torus(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := topology.Ring(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relation := guestRelation(guest, torus.N())
+	few := &Problem{N: relation.N, Pairs: relation.Pairs[:len(relation.Pairs)/64]}
+	hh := RandomHH(rand.New(rand.NewSource(1)), ring.N(), 64)
+	firsts := &Problem{N: hh.N}
+	seen := make([]bool, hh.N)
+	for _, pr := range hh.Pairs {
+		if pr.Src != pr.Dst && !seen[pr.Dst] {
+			seen[pr.Dst] = true
+			firsts.Pairs = append(firsts.Pairs, pr)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		r    Router
+		ps   []*Problem
+		want float64
+	}{
+		{"torus/multi-port", torus, &DimensionOrderRouter{N: 8, Wrap: true}, []*Problem{relation, few}, 8},
+		{"torus/single-port", torus, &DimensionOrderRouter{N: 8, Wrap: true, Mode: SinglePort}, []*Problem{relation, few}, 8},
+		{"ring/multi-port", ring, &GreedyRouter{}, []*Problem{hh, firsts}, 268},
+	} {
+		for _, p := range c.ps {
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := c.r.Route(c.g, p); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != c.want {
+				t.Errorf("%s, %d packets: %v allocations a route, want %v", c.name, len(p.Pairs), allocs, c.want)
+			}
+		}
 	}
 }

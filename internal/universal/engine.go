@@ -91,6 +91,14 @@ func copyReplicas(replicas [][]int, n, m int) ([][]int, error) {
 	return reps, nil
 }
 
+// memCell is one guest's entry in a host memory: its newest known
+// configuration and the guest time that belongs to plus one, 0 when the
+// host knows none.
+type memCell struct {
+	s  sim.State
+	t1 int
+}
+
 // run simulates T steps of c. On success the trace is the one the
 // primaries computed from host-local memories; an error is returned if a
 // host ever ships or reads a configuration it does not hold for the right
@@ -124,21 +132,12 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 		rep.Replication = max(rep.Replication, len(r))
 	}
 
-	// mem[q][i] is the newest configuration of guest i known at host q,
-	// with memT[q][i] the guest time it belongs to (-1 = unknown).
-	mem := make([][]sim.State, m)
-	memT := make([][]int, m)
-	for q := 0; q < m; q++ {
-		mem[q] = make([]sim.State, n)
-		memT[q] = make([]int, n)
-		for i := range memT[q] {
-			memT[q][i] = -1
-		}
-	}
+	// mem[q*n+i] is host q's cell for guest i, so host q's memory is
+	// mem[q*n : (q+1)*n].
+	mem := make([]memCell, m*n)
 	for i, r := range reps {
 		for _, q := range r {
-			mem[q][i] = c.Init[i]
-			memT[q][i] = 0
+			mem[q*n+i] = memCell{c.Init[i], 1}
 		}
 	}
 
@@ -264,9 +263,7 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 				crashed[h] = true
 				rep.Counters.Crashed++
 				topoDirty = true
-				for i := range memT[h] {
-					memT[h][i] = -1
-				}
+				clear(mem[h*n : (h+1)*n])
 			}
 		}
 		for _, ed := range plan.LinkFailuresAt(t) {
@@ -321,7 +318,7 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 					if dst < 0 {
 						break // fewer survivors than the replication degree
 					}
-					mem[dst][i], memT[dst][i] = mem[live[0]][i], memT[live[0]][i]
+					mem[dst*n+i] = mem[live[0]*n+i]
 					live = append(live, dst)
 					load[dst]++
 					rep.Counters.ReEmbedded++
@@ -347,12 +344,11 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 		hostStepHist.Observe(int64(stepRoute + maxLoad))
 		for k, pr := range pairs {
 			i := carried[k]
-			if memT[pr.Src][i] != t-1 {
+			if mem[pr.Src*n+i].t1 != t {
 				return nil, fmt.Errorf("universal: host %d ships stale state of guest %d (have t=%d, want %d)",
-					pr.Src, i, memT[pr.Src][i], t-1)
+					pr.Src, i, mem[pr.Src*n+i].t1-1, t-1)
 			}
-			mem[pr.Dst][i] = mem[pr.Src][i]
-			memT[pr.Dst][i] = t - 1
+			mem[pr.Dst*n+i] = mem[pr.Src*n+i]
 		}
 
 		// 3. Compute phase: every replica updates its guest from its own
@@ -361,18 +357,10 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 		next := make([]sim.State, n)
 		for i := 0; i < n; i++ {
 			for ri, q := range reps[i] {
-				if memT[q][i] != t-1 {
-					return nil, fmt.Errorf("universal: host %d missing own guest %d at t=%d", q, i, t-1)
+				s, err := computeAt(c, mem[q*n:(q+1)*n], q, i, t, nbuf)
+				if err != nil {
+					return nil, err
 				}
-				nbuf = nbuf[:0]
-				for _, j := range guest.Neighbors(i) {
-					if memT[q][j] != t-1 {
-						return nil, fmt.Errorf("universal: host %d computing guest %d lacks neighbor %d at t=%d",
-							q, i, j, t-1)
-					}
-					nbuf = append(nbuf, mem[q][j])
-				}
-				s := c.Step(i, mem[q][i], nbuf)
 				if ri == 0 {
 					next[i] = s
 				} else if s != next[i] {
@@ -382,8 +370,7 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 		}
 		for i, r := range reps {
 			for _, q := range r {
-				mem[q][i] = next[i]
-				memT[q][i] = t
+				mem[q*n+i] = memCell{next[i], t + 1}
 			}
 		}
 		rep.ComputeSteps += maxLoad
@@ -427,6 +414,25 @@ func (e *engine) run(c *sim.Computation, T int) (*FaultReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// computeAt is one replica's compute step: guest i's configuration at
+// guest time t, computed at host q from its memory local (q's n cells),
+// which must hold guest i and each of its neighbours at time t−1. nbuf is
+// scratch of capacity at least the guest's degree.
+func computeAt(c *sim.Computation, local []memCell, q, i, t int, nbuf []sim.State) (sim.State, error) {
+	if local[i].t1 != t {
+		return 0, fmt.Errorf("universal: host %d missing own guest %d at t=%d", q, i, t-1)
+	}
+	nbuf = nbuf[:0]
+	for _, j := range c.G.Neighbors(i) {
+		if local[j].t1 != t {
+			return 0, fmt.Errorf("universal: host %d computing guest %d lacks neighbor %d at t=%d",
+				q, i, j, t-1)
+		}
+		nbuf = append(nbuf, local[j].s)
+	}
+	return c.Step(i, local[i].s, nbuf), nil
 }
 
 // routeOnce routes p on g, through the schedule cache when there is one.

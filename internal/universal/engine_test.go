@@ -134,3 +134,44 @@ func TestReplicatedRunRoutesDistinctNeeds(t *testing.T) {
 		t.Error("replicated trace diverged from direct execution")
 	}
 }
+
+// TestComputeAtChecksMemoryTimes: a replica computes from its host's memory
+// only when the host holds its guest and every neighbour for the step
+// before; a stale or unknown cell is the engine's error, not an input.
+func TestComputeAtChecksMemoryTimes(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.MustAddEdge(0, 1)
+	b.MustAddEdge(1, 2)
+	sum := func(i int, self sim.State, nbrs []sim.State) sim.State {
+		for _, s := range nbrs {
+			self = 10*self + s
+		}
+		return self
+	}
+	c, err := sim.NewComputation(b.Build(), []sim.State{5, 7, 9}, sum, "sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbuf := make([]sim.State, 0, 2)
+	// Every cell holds guest time 1 (t+1 = 2), as step 2 reads them.
+	local := []memCell{{5, 2}, {7, 2}, {9, 2}}
+	if s, err := computeAt(c, local, 4, 1, 2, nbuf); err != nil || s != 759 {
+		t.Fatalf("computeAt = %d, %v; want 759, nil", s, err)
+	}
+	for _, tc := range []struct {
+		cell int
+		t1   int
+		want string
+	}{
+		{2, 1, "universal: host 4 computing guest 1 lacks neighbor 2 at t=1"},
+		{0, 0, "universal: host 4 computing guest 1 lacks neighbor 0 at t=1"},
+		{1, 3, "universal: host 4 missing own guest 1 at t=1"},
+		{1, 0, "universal: host 4 missing own guest 1 at t=1"},
+	} {
+		bad := slices.Clone(local)
+		bad[tc.cell].t1 = tc.t1
+		if _, err := computeAt(c, bad, 4, 1, 2, nbuf); err == nil || err.Error() != tc.want {
+			t.Errorf("cell %d at t+1=%d: error %v, want %q", tc.cell, tc.t1, err, tc.want)
+		}
+	}
+}
