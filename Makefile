@@ -58,9 +58,12 @@ perfbench-test:
 # reference is what guards the edge queues: on small connected graphs it
 # must match the map-based reference loop result for result and error for
 # error, and make the reference's hop calls in order, less, under
-# fixed-hop rules, each packet's repeats from the node it last asked from. Last, /v1 request decoding plus Validate for 10 s: nothing may
+# fixed-hop rules, each packet's repeats from the node it last asked from. Then /v1 request decoding plus Validate for 10 s: nothing may
 # panic, and an accepted small request's host, guest and route pattern
-# must build, failing only by random-generation chance.
+# must build, failing only by random-generation chance. Last, the stub
+# matcher for 10 s: on degree sequences of at most 48 vertices, with or
+# without a forbidden edge set, it must return the reference matcher's
+# graph or error from the same seed and leave the same next draw.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLegalityEngines -fuzztime 30s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
@@ -70,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStepCodec$$' -fuzztime 10s ./internal/pebble
 	$(GO) test -run '^$$' -fuzz '^FuzzStepPackets$$' -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDegreeSequence$$' -fuzztime 10s ./internal/topology
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

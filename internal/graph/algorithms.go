@@ -8,6 +8,13 @@ import (
 // BFS runs breadth-first search from src and returns the distance (in hops)
 // from src to every vertex; unreachable vertices get -1.
 func (g *Graph) BFS(src int) []int {
+	return g.BFSWithQueue(src, make([]int, 0, g.N()))
+}
+
+// BFSWithQueue is BFS using queue's backing array as its queue, so a caller
+// that computes many rows can pass one queue of capacity N to every call
+// and pay only for the rows.
+func (g *Graph) BFSWithQueue(src int, queue []int) []int {
 	dist := make([]int, g.N())
 	for i := range dist {
 		dist[i] = -1
@@ -16,8 +23,7 @@ func (g *Graph) BFS(src int) []int {
 		return dist
 	}
 	dist[src] = 0
-	queue := make([]int, 0, g.N())
-	queue = append(queue, src)
+	queue = append(queue[:0], src)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, w := range g.Neighbors(v) {
@@ -56,11 +62,26 @@ func (g *Graph) ShortestPathTree(src int) []int {
 	return parent
 }
 
-// IsConnected reports whether g has at most one connected component: one
-// breadth-first search from vertex 0 reaches every vertex.
+// IsConnected reports whether g has at most one connected component: a
+// breadth-first sweep from vertex 0, marking vertices in a bitset of N bits
+// rather than a row of N distances, reaches every vertex.
 func (g *Graph) IsConnected() bool {
-	_, connected := g.Eccentricity(0)
-	return connected
+	n := g.N()
+	if n == 0 {
+		return true
+	}
+	seen := make([]uint64, (n+63)/64)
+	seen[0] = 1
+	queue := make([]int, 1, n)
+	for head := 0; head < len(queue); head++ {
+		for _, w := range g.Neighbors(queue[head]) {
+			if bit := uint64(1) << (uint(w) % 64); seen[uint(w)/64]&bit == 0 {
+				seen[uint(w)/64] |= bit
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // Eccentricity returns the largest BFS distance from v to any reachable

@@ -108,9 +108,34 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	return build(n, edges), nil
 }
 
+// FromRows builds a graph from rows already filled: v's neighbors, in any
+// order, are nbr[off[v]:off[v+1]], and every edge is listed in both of its
+// endpoints' rows. Repeats within a row are merged. The graph takes both
+// slices and sorts and compacts them in place, so the caller must not use
+// them afterwards. It returns an error when off does not rise from 0 to
+// len(nbr) or when an entry is out of range or a self-loop; it does not
+// check that the rows are symmetric (Validate does).
+func FromRows(off, nbr []int) (*Graph, error) {
+	if len(off) == 0 || off[0] != 0 || off[len(off)-1] != len(nbr) {
+		return nil, fmt.Errorf("graph: row offsets do not run from 0 to %d", len(nbr))
+	}
+	n := len(off) - 1
+	for v := 0; v < n; v++ {
+		if off[v+1] < off[v] || off[v+1] > len(nbr) {
+			return nil, fmt.Errorf("graph: row %d runs from %d to %d", v, off[v], off[v+1])
+		}
+		for _, w := range nbr[off[v]:off[v+1]] {
+			if err := checkEdge(n, v, w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return finishRows(off, nbr), nil
+}
+
 // build packs edges, all in range and loop-free, into rows: it counts each
-// vertex's entries, places every edge in both endpoints' rows, then sorts
-// each row and drops repeated entries.
+// vertex's entries and places every edge in both endpoints' rows, then
+// finishes them.
 func build(n int, edges []Edge) *Graph {
 	off := make([]int, n+1)
 	for _, e := range edges {
@@ -129,6 +154,14 @@ func build(n int, edges []Edge) *Graph {
 		off[e.V]--
 		nbr[off[e.V]] = e.U
 	}
+	return finishRows(off, nbr)
+}
+
+// finishRows sorts each row of off and nbr, all entries in range and
+// loop-free, and drops repeated entries, moving the rows down over the
+// gaps they leave; the graph keeps both slices.
+func finishRows(off, nbr []int) *Graph {
+	n := len(off) - 1
 	w := 0
 	for v := 0; v < n; v++ {
 		row := nbr[off[v]:off[v+1]]
@@ -225,8 +258,9 @@ func (g *Graph) IsRegular(d int) bool {
 }
 
 // Validate checks internal invariants: sorted adjacency, symmetry, no loops,
-// no duplicates. Graphs from Build and FromEdges always pass; tests and the
-// decoders' fuzz targets hold them to it.
+// no duplicates. Graphs from Build and FromEdges always pass, and so do
+// graphs from FromRows given symmetric rows; tests and the decoders' fuzz
+// targets hold them to it.
 func (g *Graph) Validate() error {
 	for u := 0; u < g.N(); u++ {
 		a := g.Neighbors(u)

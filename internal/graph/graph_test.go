@@ -163,6 +163,24 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
+// TestBFSWithQueue checks that a queue shared across searches gives BFS's
+// rows and that, with capacity N, a search allocates only its row.
+func TestBFSWithQueue(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 60, 0.05)
+	queue := make([]int, 0, g.N())
+	for src := -1; src <= g.N(); src++ {
+		if got, want := g.BFSWithQueue(src, queue), g.BFS(src); !slices.Equal(got, want) {
+			t.Fatalf("src %d: %v, want %v", src, got, want)
+		}
+	}
+	if got := g.BFSWithQueue(0, nil); !slices.Equal(got, g.BFS(0)) {
+		t.Errorf("nil queue: %v", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.BFSWithQueue(5, queue) }); allocs != 1 {
+		t.Errorf("%v allocations a search, want 1", allocs)
+	}
+}
+
 // TestShortestPath: every vertex's tree parent is a neighbor one BFS level
 // nearer the root, the root is its own parent, and on the ring the walk
 // from 5 back to 0 is a 5-hop path whose first step goes to the lower
@@ -205,6 +223,43 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if !ringGraph(t, 5).IsConnected() {
 		t.Error("ring claimed disconnected")
+	}
+}
+
+// TestIsConnectedEdgeCases holds the connectivity sweep to the corners of
+// its visited bitset: no vertex, one vertex, a vertex that is the first bit
+// of the second word and the only one left out, and two components.
+func TestIsConnectedEdgeCases(t *testing.T) {
+	// path joins lo..hi-1 in order, leaving out skip.
+	path := func(lo, hi, skip int) [][2]int {
+		var edges [][2]int
+		prev := -1
+		for v := lo; v < hi; v++ {
+			if v == skip {
+				continue
+			}
+			if prev >= 0 {
+				edges = append(edges, [2]int{prev, v})
+			}
+			prev = v
+		}
+		return edges
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want bool
+	}{
+		{"N=0", NewBuilder(0).Build(), true},
+		{"N=1", NewBuilder(1).Build(), true},
+		{"path on 100", mustGraph(t, 100, path(0, 100, -1)), true},
+		{"path on 100 but 64", mustGraph(t, 100, path(0, 100, 64)), false},
+		{"path on 65 but 64", mustGraph(t, 65, path(0, 65, 64)), false},
+		{"two paths", mustGraph(t, 130, append(path(0, 64, -1), path(64, 130, -1)...)), false},
+	} {
+		if got := c.g.IsConnected(); got != c.want {
+			t.Errorf("%s: IsConnected = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -353,6 +408,43 @@ func TestFromEdges(t *testing.T) {
 	}
 	if _, err := FromEdges(2, []Edge{{0, 5}}); err == nil {
 		t.Error("invalid edge accepted")
+	}
+}
+
+func TestFromRows(t *testing.T) {
+	// The triangle 0–1–2 plus the edge {2, 3}, rows unsorted, with 0's
+	// neighbor 1 and 1's neighbor 0 listed twice.
+	g, err := FromRows([]int{0, 3, 6, 9, 10}, []int{2, 1, 1, 0, 2, 0, 3, 1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}})
+	if !g.Equal(want) {
+		t.Errorf("FromRows built %v, want %v", g.Edges(), want.Edges())
+	}
+	if err := g.Validate(); err != nil {
+		t.Error(err)
+	}
+	if g, err := FromRows([]int{0}, nil); err != nil || g.N() != 0 {
+		t.Errorf("no rows: %v, %v", g, err)
+	}
+	for _, c := range []struct {
+		name     string
+		off, nbr []int
+		want     string
+	}{
+		{"no offsets", nil, nil, "row offsets do not run from 0 to 0"},
+		{"first offset", []int{1, 2}, []int{0, 1}, "row offsets do not run from 0 to 2"},
+		{"last offset", []int{0, 1, 1}, []int{1, 0}, "row offsets do not run from 0 to 2"},
+		{"falling offsets", []int{0, 2, 1, 2}, []int{1, 2}, "row 1 runs from 2 to 1"},
+		{"offset past the rows", []int{0, 3, 2}, []int{1, 0}, "row 0 runs from 0 to 3"},
+		{"entry above range", []int{0, 1, 2}, []int{2, 0}, "edge {0,2} out of range [0,2)"},
+		{"negative entry", []int{0, 1, 2}, []int{1, -1}, "edge {1,-1} out of range [0,2)"},
+		{"self-loop", []int{0, 1, 2}, []int{1, 1}, "self-loop at vertex 1"},
+	} {
+		if _, err := FromRows(c.off, c.nbr); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -227,21 +227,22 @@ func RandomNextHop(g *graph.Graph, at, dst int, distToDst []int, rng *rand.Rand)
 }
 
 // distanceCache caches BFS distance vectors, one row per destination,
-// computed on first use.
+// computed on first use; every row's search runs in one shared queue.
 type distanceCache struct {
-	g    *graph.Graph
-	rows [][]int
+	g     *graph.Graph
+	rows  [][]int
+	queue []int
 }
 
 func newDistanceCache(g *graph.Graph) *distanceCache {
-	return &distanceCache{g: g, rows: make([][]int, g.N())}
+	return &distanceCache{g: g, rows: make([][]int, g.N()), queue: make([]int, 0, g.N())}
 }
 
 func (c *distanceCache) to(dst int) []int {
 	if d := c.rows[dst]; d != nil {
 		return d
 	}
-	d := c.g.BFS(dst)
+	d := c.g.BFSWithQueue(dst, c.queue)
 	c.rows[dst] = d
 	return d
 }

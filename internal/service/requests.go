@@ -26,11 +26,13 @@ const maxHostSize = 1 << 16
 // maxGreedyHostSize bounds the processors of a host routed by
 // routing.GreedyRouter, every family but the torus (which routes by
 // dimension order): the router keeps a BFS row of m ints per destination,
-// and a route allocates about 16·m² bytes, 268 MB at this ceiling.
+// all searched in one shared queue, so a route allocates about 8·m² bytes,
+// 134 MB at this ceiling.
 const maxGreedyHostSize = 1 << 12
 
 // maxSimulateCells bounds m·n for a simulation: EmbeddingSimulator.Run keeps
-// two m×n host×guest tables, 16·m·n bytes, 268 MB at this ceiling.
+// one m·n slice of 16-byte host-memory cells, 16·m·n bytes, 268 MB at this
+// ceiling.
 const maxSimulateCells = 1 << 24
 
 // maxGuestSize bounds served guest networks.
@@ -44,10 +46,12 @@ type hostEntry struct {
 	g    *graph.Graph
 }
 
-// hostSize estimates a cached host graph's footprint: adjacency is ~16
-// bytes per directed edge plus per-vertex overhead.
+// hostSize is a cached host graph's footprint: the arrays behind its CSR
+// rows, 8(N+1) + 16M bytes unless building dropped repeated edges and left
+// spare capacity, and 64 more for the entry and the graph's headers.
 func hostSize(he hostEntry) int64 {
-	return int64(64*he.g.N()) + 64
+	off, nbr := he.g.Adjacency()
+	return int64(8*cap(off)+8*cap(nbr)) + 64
 }
 
 // validTopology rejects unknown host families and sizes their builders

@@ -220,3 +220,29 @@ func accepted[T request[T]](body []byte) (T, bool) {
 	req = req.withDefaults()
 	return req, err == nil && req.Validate() == nil
 }
+
+// TestHostSizeChargesRows checks that the host cache charges each family's
+// graph the bytes its rows hold, 8(N+1) + 16M, plus 64 for the entry; the
+// d = 2 wrapped butterfly repeats edges, and its charge covers the spare
+// capacity their removal leaves.
+func TestHostSizeChargesRows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    int
+	}{{"torus", 64}, {"ring", 64}, {"expander", 64}, {"butterfly", 2}, {"butterfly", 5}, {"ccc", 3}, {"ccc", 6}} {
+		h, err := buildHost(c.name, c.m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := h.Graph
+		rows := int64(8*(g.N()+1) + 16*g.M())
+		got := hostSize(hostEntry{name: h.Name, g: g})
+		if c.name == "butterfly" && c.m == 2 {
+			if got <= rows+64 {
+				t.Errorf("butterfly m=2: charged %d bytes, want more than its rows' %d plus 64", got, rows)
+			}
+		} else if got != rows+64 {
+			t.Errorf("%s m=%d: charged %d bytes, want its rows' %d plus 64", c.name, c.m, got, rows)
+		}
+	}
+}

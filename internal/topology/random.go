@@ -49,55 +49,61 @@ func RandomWithDegreeSequence(rng *rand.Rand, seq []int, forbidden *graph.Graph)
 	if forbidden != nil && forbidden.N() > n {
 		return nil, fmt.Errorf("topology: forbidden graph has %d vertices > %d", forbidden.N(), n)
 	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("topology: %d vertices exceed the stub matcher's int32 ids", n)
+	if total+2*n > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: degree sum %d on %d vertices exceeds the stub matcher's int32 offsets", total, n)
 	}
 
 	for restart := 0; restart < maxRestarts; restart++ {
-		if edges, ok := tryDegreeSequence(rng, seq, total, forbidden); ok {
-			return graph.FromEdges(n, edges)
+		if nbr, ok := tryDegreeSequence(rng, seq, total, forbidden); ok {
+			off := make([]int, n+1)
+			for v, d := range seq {
+				off[v+1] = off[v] + d
+			}
+			return graph.FromRows(off, nbr)
 		}
 	}
 	return nil, ErrGenerationFailed
 }
 
 // tryDegreeSequence performs one stub-matching pass over the total stubs of
-// seq and returns the edges it placed. It returns ok = false when it
-// dead-ends (all remaining stub pairs are conflicting).
-func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Graph) (edges []graph.Edge, ok bool) {
-	n := len(seq)
-	// stubs[i] = vertex owning stub i. Vertex v owns the seq[v] slots from
-	// start[v], and its placed neighbors fill the first fill[v] of them.
+// seq. Vertex v owns a block of seq[v]+2 int32 words: v, its fill count,
+// then seq[v] slots whose first fill hold its placed neighbors. A stub names
+// its vertex's block rather than the vertex, so a conflict check misses once
+// per endpoint, on a block whose count and slots share a cache line, where
+// separate id, offset and slot arrays cost a chain of misses. On success
+// every slot is full, and it returns the slots block by block: the graph's
+// rows, each unsorted. It returns ok = false when it dead-ends (all
+// remaining stub pairs are conflicting).
+func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Graph) (rows []int, ok bool) {
+	// stubs[i] = the block of the vertex owning stub i.
 	stubs := make([]int32, 0, total)
-	start := make([]int, n+1)
+	blocks := make([]int32, total+2*len(seq))
+	at := int32(0)
 	for v, d := range seq {
 		for j := 0; j < d; j++ {
-			stubs = append(stubs, int32(v))
+			stubs = append(stubs, at)
 		}
-		start[v+1] = start[v] + d
+		blocks[at] = int32(v)
+		at += 2 + int32(d)
 	}
-	slots := make([]int32, total)
-	fill := make([]int32, n)
-	edges = make([]graph.Edge, 0, total/2)
 	// conflict scans the placed neighbors of the endpoint that has fewer.
-	conflict := func(u, v int32) bool {
-		if u == v {
+	conflict := func(a, b int32) bool {
+		if a == b {
 			return true
 		}
-		if fill[v] < fill[u] {
-			u, v = v, u
+		if blocks[b+1] < blocks[a+1] {
+			a, b = b, a
 		}
-		if slices.Contains(slots[start[u]:start[u]+int(fill[u])], v) {
+		if slices.Contains(blocks[a+2:a+2+blocks[a+1]], blocks[b]) {
 			return true
 		}
-		return forbidden != nil && forbidden.HasEdge(int(u), int(v))
+		return forbidden != nil && forbidden.HasEdge(int(blocks[a]), int(blocks[b]))
 	}
-	place := func(u, v int32) {
-		slots[start[u]+int(fill[u])] = v
-		fill[u]++
-		slots[start[v]+int(fill[v])] = u
-		fill[v]++
-		edges = append(edges, graph.NewEdge(int(u), int(v)))
+	place := func(a, b int32) {
+		blocks[a+2+blocks[a+1]] = blocks[b]
+		blocks[a+1]++
+		blocks[b+2+blocks[b+1]] = blocks[a]
+		blocks[b+1]++
 	}
 	// Repeatedly pick two random remaining stubs; on conflict retry a bounded
 	// number of times, then check exhaustively whether any non-conflicting
@@ -111,11 +117,11 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Gr
 			if i == j {
 				continue
 			}
-			u, v := stubs[i], stubs[j]
-			if conflict(u, v) {
+			a, b := stubs[i], stubs[j]
+			if conflict(a, b) {
 				continue
 			}
-			place(u, v)
+			place(a, b)
 			// Remove both stubs (order matters: remove the larger index first).
 			if i < j {
 				i, j = j, i
@@ -150,7 +156,13 @@ func tryDegreeSequence(rng *rand.Rand, seq []int, total int, forbidden *graph.Gr
 			return nil, false // dead end; caller restarts
 		}
 	}
-	return edges, true
+	rows = make([]int, 0, total)
+	for a := 0; a < len(blocks); a += 2 + int(blocks[a+1]) {
+		for _, w := range blocks[a+2 : a+2+int(blocks[a+1])] {
+			rows = append(rows, int(w))
+		}
+	}
+	return rows, true
 }
 
 // RandomGuest samples a random c-regular n-vertex guest network from the

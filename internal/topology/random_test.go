@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"universalnet/internal/graph"
@@ -44,6 +46,12 @@ func TestGeneratorHashPins(t *testing.T) {
 		{"Complete(300)", 0xa884d6057ad23e2d, func() (*graph.Graph, error) {
 			return Complete(300)
 		}},
+		{"RandomWithDegreeSequence(2,K40-C40,seed1)", 0x93e8f56978d0252d, func() (*graph.Graph, error) {
+			return cycleOnly(2, 5285103754982433312)
+		}},
+		{"RandomWithDegreeSequence(1,K40-C40,seed1)", 0x72e66306f1cd8a05, func() (*graph.Graph, error) {
+			return cycleOnly(1, 1563227115034091217)
+		}},
 	}
 	for _, tc := range cases {
 		g, err := tc.build()
@@ -59,18 +67,72 @@ func TestGeneratorHashPins(t *testing.T) {
 	}
 }
 
+// cycleOnly realizes degree d at each of 40 vertices while avoiding every
+// edge of K₄₀ except the cycle 0–1–…–39–0, from seed 1. Nearly every random
+// pair conflicts there, so the pass reaches the exhaustive scan: at d = 2 it
+// places 4 pairs there, and at d = 1 it dead-ends and restarts 62 times. It
+// fails unless the draw after the call is next, which pins how many draws
+// the passes consumed.
+func cycleOnly(d int, next int64) (*graph.Graph, error) {
+	const n = 40
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 2; v < n; v++ {
+			if u != 0 || v != n-1 {
+				b.MustAddEdge(u, v)
+			}
+		}
+	}
+	seq := make([]int, n)
+	for v := range seq {
+		seq[v] = d
+	}
+	rng := rand.New(rand.NewSource(1))
+	g, err := RandomWithDegreeSequence(rng, seq, b.Build())
+	if err != nil {
+		return nil, err
+	}
+	if got := rng.Int63(); got != next {
+		return nil, fmt.Errorf("next draw %d, want %d", got, next)
+	}
+	return g, nil
+}
+
+// TestDegreeSumOverInt32Refused checks that a degree sum of 2³¹ or more,
+// past the stub matcher's int32 block offsets, is refused before the
+// matcher allocates its stubs (8 GiB here): 46,342 vertices of degree
+// 46,341 sum to 2,147,534,622. Only the error allocates.
+func TestDegreeSumOverInt32Refused(t *testing.T) {
+	seq := make([]int, 46342)
+	for v := range seq {
+		seq[v] = 46341
+	}
+	rng := rand.New(rand.NewSource(1))
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		_, err = RandomWithDegreeSequence(rng, seq, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), "degree sum 2147534622 on 46342 vertices") {
+		t.Fatalf("error %v, want the degree sum refused", err)
+	}
+	if allocs > 4 {
+		t.Errorf("%v allocations before the refusal, want at most 4", allocs)
+	}
+}
+
 // TestRandomGuestAllocs bounds a 10⁴-vertex guest at a constant number of
-// allocations (12 when written): a stub-matching pass allocates its stubs,
-// slots, fill counts and edge list once each, and FromEdges packs the rows
-// in one go. An edge-set map, or a list allocated per vertex, costs
-// thousands.
+// allocations (10 when written): a stub-matching pass allocates its stubs
+// and its per-vertex blocks (a count beside the slots) once each, copies
+// the full slots out as the graph's rows beside one offset array, and
+// IsConnected allocates a bitset and a queue. An edge-set map, or a list
+// allocated per vertex, costs thousands.
 func TestRandomGuestAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := RandomGuest(rand.New(rand.NewSource(1)), 10000, 3); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 24 {
-		t.Errorf("RandomGuest(10⁴, 3) made %v allocations, want at most 24", allocs)
+	if allocs > 16 {
+		t.Errorf("RandomGuest(10⁴, 3) made %v allocations, want at most 16", allocs)
 	}
 }
