@@ -37,8 +37,12 @@ linkcheck:
 test: check
 	$(GO) test ./...
 
+# The second run repeats the tests of the ahead drains ten times under the
+# race detector: DrainAhead's core and the bookkeeping it feeds run on two
+# goroutines, and one run can miss the interleaving that races.
 test-race: check
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestDrainAhead|TestReplayCostedMatchesAppendStep' ./internal/pebble ./internal/redblue
 
 # perfbench/ is a module of its own, so the root `go test ./...` skips it.
 # This vets and tests it against the current packages, so a change to an

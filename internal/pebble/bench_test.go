@@ -16,20 +16,11 @@ import (
 // is measured. shards=1 is the sequential core; shards=2 runs the windowed
 // barrier, whose per-shard state must not share cache lines.
 func BenchmarkValidateSharded(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	guest, err := topology.RandomGuest(rng, 20000, 3)
+	sp := wideSpec(b)
+	pr, err := BuildQueuedEmbeddingProtocol(sp.Guest, sp.Host, nil, sp.T)
 	if err != nil {
 		b.Fatal(err)
 	}
-	host, err := topology.WrappedButterfly(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr, err := BuildQueuedEmbeddingProtocol(guest, host, nil, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := pr.Spec()
 	for _, shards := range []int{1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -42,6 +33,46 @@ func BenchmarkValidateSharded(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// wideSpec is the wide-step instance of BenchmarkValidateSharded and
+// BenchmarkValidateSource: a 3-regular guest of n = 2·10⁴ on the d = 7
+// wrapped butterfly (m = 896), T = 2.
+func wideSpec(b *testing.B) Spec {
+	rng := rand.New(rand.NewSource(3))
+	guest, err := topology.RandomGuest(rng, 20000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, err := topology.WrappedButterfly(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return Spec{Guest: guest, Host: host, T: 2}
+}
+
+// BenchmarkValidateSource times the path perfbench replay's State pass
+// runs: ValidateSource over a ChunkedLog of BenchmarkValidateSharded's
+// protocol, decode included, with the core running ahead of State's
+// bookkeeping. Run it at -cpu 1 too, where the two sides share one P.
+func BenchmarkValidateSource(b *testing.B) {
+	sp := wideSpec(b)
+	chunks := NewChunkedLog(ChunkedLogOptions{})
+	defer chunks.Close()
+	if err := StreamQueuedEmbeddingProtocol(sp.Guest, sp.Host, nil, sp.T, chunks); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := ValidateSource(sp, chunks.Source())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.HostStep() != chunks.Steps() {
+			b.Fatalf("validated %d host steps, want %d", st.HostStep(), chunks.Steps())
+		}
 	}
 }
 

@@ -94,10 +94,11 @@ func decodeStepBytes(src []byte, buf []Op) ([]Op, int, error) {
 	for i := range buf {
 		var vals [5]int64
 		for j := range vals {
-			// One- and two-byte varints, which are most fields, decode
-			// inline; binary.Varint is not inlined. Longer values,
-			// truncations and overflows go to it, so the inputs accepted
-			// and the errors are its own.
+			// One- to three-byte varints, which are nearly all fields,
+			// decode inline; binary.Varint is not inlined. A pebble index
+			// of 8192 or more zigzags to three bytes. Longer values,
+			// truncations and overflows go to binary.Varint, so the inputs
+			// accepted and the errors are its own.
 			var ux uint64
 			switch {
 			case off < len(src) && src[off] < 0x80:
@@ -106,6 +107,9 @@ func decodeStepBytes(src []byte, buf []Op) ([]Op, int, error) {
 			case off+1 < len(src) && src[off+1] < 0x80:
 				ux = uint64(src[off]&0x7f) | uint64(src[off+1])<<7
 				off += 2
+			case off+2 < len(src) && src[off+2] < 0x80:
+				ux = uint64(src[off]&0x7f) | uint64(src[off+1]&0x7f)<<7 | uint64(src[off+2])<<14
+				off += 3
 			default:
 				v, n := binary.Varint(src[off:])
 				if n <= 0 {

@@ -252,6 +252,17 @@ func TestDecodeStepMatchesVarint(t *testing.T) {
 	for x := 0; x < 1<<8; x++ {
 		fields = append(fields, []byte{byte(x)})
 	}
+	// Three-byte fields: the two continuation bytes at the edges of their
+	// range, each with every third byte, which ends the varint below 0x80
+	// and carries it on into the filler bytes from 0x80 up.
+	edges := []byte{0x80, 0x81, 0xfe, 0xff}
+	for _, b0 := range edges {
+		for _, b1 := range edges {
+			for x := 0; x < 1<<8; x++ {
+				fields = append(fields, []byte{b0, b1, byte(x)})
+			}
+		}
+	}
 	var src []byte
 	for pos := 0; pos < 5; pos++ {
 		for _, field := range fields {
@@ -283,9 +294,11 @@ func FuzzStepCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x00})
 	// Fields at the varint length boundaries: zigzag maps 63 and 64 to one
-	// and two bytes, 8191 and 8192 to two and three, and the int64
-	// extremes to ten.
-	for _, v := range []int64{math.MinInt64, math.MaxInt64, -1, 63, 64, 8191, 8192} {
+	// and two bytes, 8191 and 8192 to two and three, 1,048,575 and
+	// −1,048,576 (zigzag 2²¹ − 2 and 2²¹ − 1) to three and 1,048,576 and
+	// −1,048,577 to four, and the int64 extremes to ten.
+	for _, v := range []int64{math.MinInt64, math.MaxInt64, -1, 63, 64, 8191, 8192,
+		1<<20 - 1, -1 << 20, 1 << 20, -1<<20 - 1} {
 		x := int(v)
 		f.Add(referenceStepBytes(nil, []Op{
 			{Kind: OpKind(x), Proc: x, Pebble: Type{P: x, T: x}, Peer: x},

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"universalnet/internal/graph"
@@ -220,9 +222,11 @@ func errText(err error) string {
 // Every input is a spec and an op stream. The map-based oracle and
 // State.ApplyStep must agree at every step (replayBoth's rule), and
 // ValidateSource, StreamValidator with Finish, and ValidateSharded at every
-// shard count and barrier window must return identical error text. A panic
-// in any engine fails the target. The seed corpus is builder protocols and
-// their mutants, as in the fixed-seed suites.
+// shard count and barrier window must return identical error text. The
+// State that ValidateSource's ahead path records while its core runs ahead
+// must equal one built by ApplyStep over the same steps (sameStates). A
+// panic in any engine fails the target. The seed corpus is builder protocols and their
+// mutants, as in the fixed-seed suites.
 func FuzzLegalityEngines(f *testing.F) {
 	for seed := 0; seed < 16; seed++ {
 		hdr := []byte{byte(seed), byte(seed), byte(seed), byte(seed / 4)}
@@ -277,6 +281,30 @@ func FuzzLegalityEngines(f *testing.F) {
 
 		_, err := ValidateSource(sp, pr.Source())
 		want := errText(err)
+		inc := NewState(sp.Guest, sp.Host, sp.T)
+		var incErr error
+		for i, ops := range pr.Steps {
+			if err := inc.ApplyStep(ops); err != nil {
+				incErr = fmt.Errorf("pebble: host step %d: %w", i+1, err)
+				break
+			}
+		}
+		if incErr == nil {
+			_, incErr = inc.sv.Finish()
+		}
+		// ValidateSource drains specs this small inline, so its ahead path
+		// is driven directly.
+		ahead := NewState(sp.Guest, sp.Host, sp.T)
+		aheadErr := ahead.sv.drainAhead(pr.Source(), ahead.record)
+		if aheadErr == nil {
+			_, aheadErr = ahead.sv.Finish()
+		}
+		if got, gotAhead := errText(incErr), errText(aheadErr); got != want || gotAhead != want {
+			t.Fatalf("State.ApplyStep %q, ahead drain %q, ValidateSource %q", got, gotAhead, want)
+		}
+		if err == nil {
+			sameStates(t, inc, ahead)
+		}
 		sv, err := NewStreamValidator(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -296,4 +324,33 @@ func FuzzLegalityEngines(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameStates requires two States of one spec to give the same answers:
+// HostStep, PebbleCount, and Weight, Representatives and Generators for
+// every (i, t), and FrontierSize at the start, middle and end of the run.
+func sameStates(t *testing.T, want, got *State) {
+	t.Helper()
+	if want.HostStep() != got.HostStep() || want.PebbleCount() != got.PebbleCount() {
+		t.Fatalf("HostStep, PebbleCount: ApplyStep %d, %d; ValidateSource %d, %d",
+			want.HostStep(), want.PebbleCount(), got.HostStep(), got.PebbleCount())
+	}
+	for tt := 0; tt <= want.T; tt++ {
+		for i := 0; i < want.n; i++ {
+			if a, b := want.Weight(i, tt), got.Weight(i, tt); a != b {
+				t.Fatalf("Weight(%d,%d): ApplyStep %d, ValidateSource %d", i, tt, a, b)
+			}
+			if a, b := want.Representatives(i, tt), got.Representatives(i, tt); !slices.Equal(a, b) {
+				t.Fatalf("Representatives(%d,%d): ApplyStep %v, ValidateSource %v", i, tt, a, b)
+			}
+			if a, b := want.Generators(i, tt), got.Generators(i, tt); !slices.Equal(a, b) {
+				t.Fatalf("Generators(%d,%d): ApplyStep %v, ValidateSource %v", i, tt, a, b)
+			}
+		}
+		for _, τ := range []int{0, want.HostStep() / 2, want.HostStep()} {
+			if a, b := want.FrontierSize(tt, τ), got.FrontierSize(tt, τ); a != b {
+				t.Fatalf("FrontierSize(%d,%d): ApplyStep %d, ValidateSource %d", tt, τ, a, b)
+			}
+		}
+	}
 }

@@ -163,6 +163,15 @@ type shardedValidator struct {
 	stepBase int
 	done     bool
 
+	// The sequential path's per-op outputs for the step it validates.
+	// held[k] records whether op k's processor held the op's pebble before
+	// the step (always true for a Send, which must); State and the
+	// red-blue machine read it instead of the bitset. The multi-shard path,
+	// which no bookkeeping follows, leaves held nil and records nothing.
+	// gathered keeps gather's loads live.
+	held     []bool
+	gathered uint64
+
 	sh []shardState // one per shard; each written only by its own shard
 
 	barrier spinBarrier
@@ -412,6 +421,7 @@ func NewStreamValidator(sp Spec) (*StreamValidator, error) {
 
 // AppendStep validates one host step. The ops slice is only read during the
 // call. After the first error every subsequent call returns the same error.
+// HeldBefore then describes the step.
 func (sv *StreamValidator) AppendStep(ops []Op) error {
 	if sv.err != nil {
 		return sv.err
@@ -426,6 +436,14 @@ func (sv *StreamValidator) AppendStep(ops []Op) error {
 
 // Steps reports the number of host steps validated so far.
 func (sv *StreamValidator) Steps() int { return sv.stats.HostSteps }
+
+// HeldBefore reports, for each op of the step the last AppendStep
+// accepted, whether the op's processor held the op's pebble before that
+// step: the possession a Generate's output or a Receive's pebble had, and
+// true for every Send. The scan reads it as it sets the gain bits, so no
+// second pass over the bitset is needed. The slice is valid until the next
+// AppendStep.
+func (sv *StreamValidator) HeldBefore() []bool { return sv.v.held }
 
 // Holds reports whether processor q holds pebble pb after the steps
 // validated so far. An out-of-range processor or pebble holds nothing.
@@ -452,6 +470,11 @@ func (sv *StreamValidator) Finish() (*StreamStats, error) {
 // applyStepSeq validates one step inline (single-shard window of one step,
 // no barrier). The step ops are aliased, not copied.
 func (v *shardedValidator) applyStepSeq(ops []Op) error {
+	if cap(v.held) < len(ops) {
+		v.held = make([]bool, len(ops), max(len(ops), v.m))
+	}
+	v.held = v.held[:len(ops)]
+	v.gather(ops)
 	v.winOps = ops
 	v.winStart[0] = 0
 	v.winStart[1] = int32(len(ops))
@@ -591,12 +614,42 @@ func (v *shardedValidator) bit(q, id int) bool {
 	return v.contains[q*v.words+id>>6]&(1<<(uint(id)&63)) != 0
 }
 
-func (v *shardedValidator) setBit(q, id int) {
+// testAndSet gives processor q pebble id and reports whether q held it
+// before.
+func (v *shardedValidator) testAndSet(q, id int) bool {
 	if id < v.n {
-		return
+		return true
 	}
 	id -= v.n
-	v.contains[q*v.words+id>>6] |= 1 << (uint(id) & 63)
+	w := &v.contains[q*v.words+id>>6]
+	mask := uint64(1) << (uint(id) & 63)
+	had := *w&mask != 0
+	*w |= mask
+	return had
+}
+
+// gather loads every possession word the step's ops will check before the
+// scan checks any: a Send's on the sender, a Receive's on the receiver,
+// and a Generate's own and (P_i, t−1) words. These loads are independent,
+// so their cache misses overlap, while in the scan each op's branches and
+// table reads come between one miss and the next. The scan then finds the
+// words cached. Ops the scan would reject, and t = 0 pebbles, which have
+// no bits, are skipped.
+func (v *shardedValidator) gather(ops []Op) {
+	var x uint64
+	for i := range ops {
+		op := &ops[i]
+		q, p, t := op.Proc, op.Pebble.P, op.Pebble.T
+		if uint(q) >= uint(v.m) || uint(p) >= uint(v.n) || t < 1 || t > v.T {
+			continue
+		}
+		row := q*v.words + ((t-1)*v.n+p)>>6
+		x ^= v.contains[row]
+		if op.Kind == Generate && t > 1 {
+			x ^= v.contains[q*v.words+((t-2)*v.n+p)>>6]
+		}
+	}
+	v.gathered = x
 }
 
 func (v *shardedValidator) idOf(pb Type) (int, bool) {
@@ -664,7 +717,10 @@ func (v *shardedValidator) scanWindow(s int) {
 				}
 				id := op.Pebble.T*v.n + op.Pebble.P
 				sh.generated[id>>6] |= 1 << (uint(id) & 63)
-				v.setBit(op.Proc, id)
+				had := v.testAndSet(op.Proc, id)
+				if v.held != nil {
+					v.held[oi] = had
+				}
 				sh.genCount++
 			case Send:
 				if !v.sp.Host.HasEdge(op.Proc, op.Peer) {
@@ -675,6 +731,9 @@ func (v *shardedValidator) scanWindow(s int) {
 				if !ok || !v.bit(op.Proc, id) {
 					sh.fail(int(stamp), errClassScan, oi, fmt.Errorf("processor %d sends pebble %v it does not hold", op.Proc, op.Pebble))
 					return
+				}
+				if v.held != nil {
+					v.held[oi] = true
 				}
 				slot := jm + op.Proc
 				v.sendStamp[slot] = stamp
@@ -688,7 +747,10 @@ func (v *shardedValidator) scanWindow(s int) {
 					j: int32(j), opIdx: int32(oi), proc: int32(op.Proc), peer: op.Peer, pb: op.Pebble,
 				})
 				if id, ok := v.idOf(op.Pebble); ok {
-					v.setBit(op.Proc, id)
+					had := v.testAndSet(op.Proc, id)
+					if v.held != nil {
+						v.held[oi] = had
+					}
 				}
 				sh.recvCount++
 			default:

@@ -56,6 +56,10 @@ type State struct {
 	// invalidates it.
 	frontierVals [][]int32
 	frontierStep []int
+
+	// recorded counts the host steps record has added. It trails the
+	// core's count while ValidateSource's core runs ahead.
+	recorded int32
 }
 
 type holderEntry struct{ proc, step, next int32 }
@@ -101,19 +105,6 @@ func (st *State) hasGenerator(ty Type) bool {
 	return ok && st.genCount[id] > 0
 }
 
-// addGenerator records that q executed Generate for id; a duplicate
-// generation by the same processor is recorded once.
-func (st *State) addGenerator(id, q int) {
-	for e := st.genHead[id]; e >= 0; e = st.genEntries[e].next {
-		if int(st.genEntries[e].proc) == q {
-			return
-		}
-	}
-	st.genEntries = append(st.genEntries, genEntry{proc: int32(q), next: st.genHead[id]})
-	st.genHead[id] = int32(len(st.genEntries) - 1)
-	st.genCount[id]++
-}
-
 // ApplyStep validates and applies one host step's operations. The error is
 // the bare rule violation; after one, every later call returns it again.
 func (st *State) ApplyStep(ops []Op) error {
@@ -121,46 +112,53 @@ func (st *State) ApplyStep(ops []Op) error {
 }
 
 // apply runs one step through the core and, once the core accepts it,
-// records the step's first gains and generations. Errors keep the core's
-// "pebble: host step N:" prefix. A first gain is an op whose processor does
-// not hold the pebble before the step, read off the core's bits before the
-// core sees the step. Until the verdict it waits at the tail of
-// holderEntries with its pebble id in next.
+// records it. Errors keep the core's "pebble: host step N:" prefix.
 func (st *State) apply(ops []Op) error {
-	v := st.sv.v
-	step := int32(st.sv.Steps() + 1)
-	pending := len(st.holderEntries)
-	for _, op := range ops {
-		if op.Kind != Generate && op.Kind != Receive || op.Proc < 0 || op.Proc >= st.m {
-			continue
-		}
-		if id, ok := v.idOf(op.Pebble); ok && !v.bit(op.Proc, id) {
-			st.holderEntries = append(st.holderEntries, holderEntry{proc: int32(op.Proc), step: step, next: int32(id)})
-		}
-	}
 	if err := st.sv.AppendStep(ops); err != nil {
-		st.holderEntries = st.holderEntries[:pending]
 		return err
 	}
-	for e := pending; e < len(st.holderEntries); e++ {
-		id := st.holderEntries[e].next
-		st.holderEntries[e].next = st.holderHead[id]
-		st.holderHead[id] = int32(e)
-		st.holderCount[id]++
-	}
-	for _, op := range ops {
-		if op.Kind == Generate {
-			st.addGenerator(op.Pebble.T*st.n+op.Pebble.P, op.Proc)
+	return st.record(ops, st.sv.HeldBefore())
+}
+
+// record adds the first gains and generations of the next accepted host
+// step; it is the bookkeeping ValidateSource hands to DrainAhead and never
+// fails. held is the core's HeldBefore for ops: a Generate or Receive
+// whose processor did not hold the pebble before the step is a first gain,
+// and a Generate by a processor that did not hold the pebble cannot repeat
+// an earlier generation, since generating gives possession and possession
+// never ends.
+func (st *State) record(ops []Op, held []bool) error {
+	st.recorded++
+	step := st.recorded
+	for k := range ops {
+		op := &ops[k]
+		if op.Kind == Send {
+			continue
+		}
+		id := int32(op.Pebble.T*st.n + op.Pebble.P)
+		if !held[k] {
+			st.holderEntries = append(st.holderEntries, holderEntry{proc: int32(op.Proc), step: step, next: st.holderHead[id]})
+			st.holderHead[id] = int32(len(st.holderEntries) - 1)
+			st.holderCount[id]++
+		}
+		if op.Kind == Generate && (!held[k] || !st.generatedBy(id, int32(op.Proc))) {
+			st.genEntries = append(st.genEntries, genEntry{proc: int32(op.Proc), next: st.genHead[id]})
+			st.genHead[id] = int32(len(st.genEntries) - 1)
+			st.genCount[id]++
 		}
 	}
 	return nil
 }
 
-// stateSink feeds a State from a stream, keeping the core's step-numbered
-// errors.
-type stateSink struct{ st *State }
-
-func (s stateSink) AppendStep(ops []Op) error { return s.st.apply(ops) }
+// generatedBy reports whether q is already in id's generator list.
+func (st *State) generatedBy(id, q int32) bool {
+	for e := st.genHead[id]; e >= 0; e = st.genEntries[e].next {
+		if st.genEntries[e].proc == q {
+			return true
+		}
+	}
+	return false
+}
 
 // Representatives returns Q_S(i, t): the processors holding pebble (P_i, t)
 // at the current point of the protocol, sorted.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,23 +158,171 @@ func drain(src StepSource, sink StepSink) error {
 	}
 }
 
-// ValidateSource replays a stream through a State, exactly as
-// Protocol.Validate does for materialized steps, and returns the final
-// state. Its verdicts are StreamValidator's: the same degenerate-spec
-// errors, "pebble: host step N: …" for a rejected step, and the same
-// final-generator check.
+// ValidateSource replays a stream through a State and returns the final
+// state, the one Protocol.Validate returns for materialized steps. Its
+// verdicts are StreamValidator's: the same degenerate-spec errors,
+// "pebble: host step N: …" for a rejected step, and the same
+// final-generator check. It drains src through DrainAhead: for a spec of
+// aheadMinPebbles pebbles or more the core validates, with the source's
+// decode, on a goroutine of its own while the caller's goroutine records
+// State's holder and generator lists.
 func ValidateSource(sp Spec, src StepSource) (*State, error) {
 	if err := checkSpec(sp); err != nil {
 		return nil, err
 	}
 	st := NewState(sp.Guest, sp.Host, sp.T)
-	if err := drain(src, stateSink{st}); err != nil {
+	if err := st.sv.DrainAhead(src, st.record); err != nil {
 		return nil, err
 	}
 	if _, err := st.sv.Finish(); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// aheadWindow is how many slots of validated steps DrainAhead's core may
+// run ahead of the bookkeeping. A slot holds whole steps, at least
+// aheadBatchOps ops of them unless the stream ends there: a hand-off costs
+// about a microsecond, as much as validating and accounting a step of a
+// dozen ops, so narrow steps travel many to a slot, while a replay step
+// of about 460 ops fills one alone.
+const (
+	aheadWindow   = 16
+	aheadBatchOps = 256
+)
+
+// aheadMinPebbles is the fewest pebbles, T·n, for which DrainAhead runs
+// the core ahead; a protocol generates each at least once. A shorter
+// stream does not repay the goroutine and its wake-ups: a red-blue replay
+// of n = 64 at T = 3 (1648 ops) ran about 20% slower ahead than inline.
+const aheadMinPebbles = aheadWindow * aheadBatchOps
+
+// errAheadPanicked ends DrainAhead's pipe when its goroutine panics; the
+// drain then raises the panic itself.
+var errAheadPanicked = errors.New("pebble: validator goroutine panicked")
+
+// aheadRings keeps DrainAhead's slot buffers from one drain to the next,
+// so that the drains of a sweep, such as uninet redblue's over budgets and
+// policies, grow one ring instead of one each.
+var aheadRings = sync.Pool{New: func() any { return new([aheadWindow]pipeSlot) }}
+
+// DrainAhead validates every step of src and hands each accepted step,
+// with its HeldBefore flags, to account on the caller's goroutine. The
+// core runs, with src's NextStep, on a goroutine of its own up to
+// aheadWindow slots ahead, so validation overlaps the bookkeeping on two
+// cores. The hand-off is a Pipe. The ops and flags passed to account are
+// valid only during the call, and account must not touch the validator.
+//
+// Errors keep the sequential order of a loop that validates each step and
+// then calls account: an earlier step's error wins, and a step that fails
+// validation never reaches account. The first error stops both sides.
+// DrainAhead returns only after its goroutine has exited, so the caller
+// may use the validator, Finish included, and src again afterwards. A
+// panic in src or the core is raised again on the caller's goroutine,
+// where a validation loop's panic would be. A spec of fewer than
+// aheadMinPebbles pebbles is drained inline, in the same order.
+func (sv *StreamValidator) DrainAhead(src StepSource, account func(ops []Op, held []bool) error) error {
+	if sv.v.T*sv.v.n >= aheadMinPebbles {
+		return sv.drainAhead(src, account)
+	}
+	for {
+		ops, err := src.NextStep()
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = sv.AppendStep(ops)
+		}
+		if err == nil {
+			err = account(ops, sv.HeldBefore())
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// drainAhead is DrainAhead with the core on a goroutine of its own.
+func (sv *StreamValidator) drainAhead(src StepSource, account func(ops []Op, held []bool) error) error {
+	ring := aheadRings.Get().(*[aheadWindow]pipeSlot)
+	p := newPipe(ring[:])
+	exited := make(chan struct{})
+	var panicked any
+	go func() {
+		defer close(exited)
+		defer func() {
+			if panicked = recover(); panicked != nil {
+				p.CloseSend(errAheadPanicked)
+			}
+		}()
+		p.CloseSend(sv.validateInto(src, p))
+	}()
+	defer func() {
+		p.CloseRecv()
+		<-exited
+		aheadRings.Put(ring)
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
+	for {
+		s, err := p.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		start := int32(0)
+		for _, end := range s.ends {
+			if err := account(s.ops[start:end], s.held[start:end]); err != nil {
+				return err
+			}
+			start = end
+		}
+	}
+}
+
+// validateInto validates src step by step and publishes the accepted steps
+// with their flags to p, a slot at a time (aheadBatchOps). On the first
+// error, a consumer that abandoned p included, it publishes the steps it
+// accepted before it and returns the error.
+func (sv *StreamValidator) validateInto(src StepSource, p *Pipe) error {
+	var s *pipeSlot
+	idx := int32(-1)
+	for {
+		ops, err := src.NextStep()
+		if err == nil {
+			err = sv.AppendStep(ops)
+		}
+		if err != nil {
+			if idx >= 0 {
+				if perr := p.publish(idx); perr != nil {
+					return perr
+				}
+			}
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		if idx < 0 {
+			if idx, err = p.acquireSlot(); err != nil {
+				return err
+			}
+			s = &p.slots[idx]
+			s.ops, s.held, s.ends = s.ops[:0], s.held[:0], s.ends[:0]
+		}
+		s.ops = append(s.ops, ops...)
+		s.held = append(s.held, sv.HeldBefore()...)
+		s.ends = append(s.ends, int32(len(s.ops)))
+		if len(s.ops) >= aheadBatchOps {
+			if err := p.publish(idx); err != nil {
+				return err
+			}
+			idx = -1
+		}
+	}
 }
 
 // ErrPipeClosed is returned to a producer whose consumer abandoned the pipe.
@@ -196,7 +345,7 @@ type Pipe struct {
 	// experiment metrics.
 	MeasureStalls bool
 
-	slots  [][]Op
+	slots  []pipeSlot
 	filled chan int32
 	free   chan int32
 	done   chan struct{}
@@ -211,12 +360,13 @@ type Pipe struct {
 
 // NewPipe returns a pipe with the given window (minimum 1) of in-flight
 // steps.
-func NewPipe(window int) *Pipe {
-	if window < 1 {
-		window = 1
-	}
+func NewPipe(window int) *Pipe { return newPipe(make([]pipeSlot, max(window, 1))) }
+
+// newPipe returns a pipe whose ring is slots.
+func newPipe(slots []pipeSlot) *Pipe {
+	window := len(slots)
 	p := &Pipe{
-		slots:  make([][]Op, window),
+		slots:  slots,
 		filled: make(chan int32, window),
 		free:   make(chan int32, window),
 		done:   make(chan struct{}),
@@ -280,6 +430,16 @@ func (p *Pipe) waitFree() (int32, error) {
 	}
 }
 
+// pipeSlot is one buffer of the ring: a step on a builder's pipe. On
+// DrainAhead's it holds several whole steps, step k being
+// ops[ends[k-1]:ends[k]], with the validator's per-op prior-possession
+// flags in held.
+type pipeSlot struct {
+	ops  []Op
+	held []bool
+	ends []int32
+}
+
 // AppendStep copies ops into a free slot and publishes it. It blocks while
 // the window is full and returns ErrPipeClosed if the consumer called
 // CloseRecv.
@@ -288,15 +448,9 @@ func (p *Pipe) AppendStep(ops []Op) error {
 	if err != nil {
 		return err
 	}
-	buf := p.slots[idx][:0]
-	buf = append(buf, ops...)
-	p.slots[idx] = buf
-	select {
-	case p.filled <- idx:
-	case <-p.done:
-		return ErrPipeClosed
-	}
-	return nil
+	s := &p.slots[idx]
+	s.ops = append(s.ops[:0], ops...)
+	return p.publish(idx)
 }
 
 // AppendStepSegments publishes one step given as ordered sub-slices,
@@ -307,11 +461,16 @@ func (p *Pipe) AppendStepSegments(segs [][]Op) error {
 	if err != nil {
 		return err
 	}
-	buf := p.slots[idx][:0]
+	s := &p.slots[idx]
+	s.ops = s.ops[:0]
 	for _, seg := range segs {
-		buf = append(buf, seg...)
+		s.ops = append(s.ops, seg...)
 	}
-	p.slots[idx] = buf
+	return p.publish(idx)
+}
+
+// publish hands a filled slot to the consumer.
+func (p *Pipe) publish(idx int32) error {
 	select {
 	case p.filled <- idx:
 	case <-p.done:
@@ -332,6 +491,16 @@ func (p *Pipe) CloseSend(err error) {
 // NextStep returns the next step. The slice is valid until the following
 // NextStep call.
 func (p *Pipe) NextStep() ([]Op, error) {
+	s, err := p.next()
+	if err != nil {
+		return nil, err
+	}
+	return s.ops, nil
+}
+
+// next returns the next published slot, which stays lent to the consumer
+// until the following call.
+func (p *Pipe) next() (*pipeSlot, error) {
 	if p.cur >= 0 {
 		select {
 		case p.free <- p.cur:
@@ -360,7 +529,7 @@ func (p *Pipe) NextStep() ([]Op, error) {
 		return nil, io.EOF
 	}
 	p.cur = idx
-	return p.slots[idx], nil
+	return &p.slots[idx], nil
 }
 
 // waitFilled receives the next published slot once the ring was found

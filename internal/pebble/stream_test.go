@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"universalnet/internal/topology"
 )
@@ -67,28 +69,28 @@ func TestTeeSinkDuplicates(t *testing.T) {
 	}
 }
 
+// TestValidateSourceMatchesValidate holds ValidateSource to Protocol.Validate
+// on a spec it drains inline and on one it runs ahead (aheadFixture).
 func TestValidateSourceMatchesValidate(t *testing.T) {
-	pr := streamFixture(t)
-	stV, errV := pr.Validate()
-	stS, errS := ValidateSource(pr.Spec(), pr.Source())
-	if errV != nil || errS != nil {
-		t.Fatalf("valid protocol rejected: validate %v, source %v", errV, errS)
-	}
-	if stV.PebbleCount() != stS.PebbleCount() || stV.HostStep() != stS.HostStep() {
-		t.Fatalf("final states differ: (%d,%d) vs (%d,%d)",
-			stV.PebbleCount(), stV.HostStep(), stS.PebbleCount(), stS.HostStep())
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	for k := 0; k < 20; k++ {
-		mu := mutate(pr, rng)
-		_, errV := mu.Validate()
-		_, errS := ValidateSource(mu.Spec(), mu.Source())
-		if (errV == nil) != (errS == nil) {
-			t.Fatalf("mutant %d: validate err %v, source err %v", k, errV, errS)
+	for _, pr := range []*Protocol{streamFixture(t), aheadFixture(t)} {
+		stV, errV := pr.Validate()
+		stS, errS := ValidateSource(pr.Spec(), pr.Source())
+		if errV != nil || errS != nil {
+			t.Fatalf("valid protocol rejected: validate %v, source %v", errV, errS)
 		}
-		if errV != nil && errV.Error() != errS.Error() {
-			t.Fatalf("mutant %d: validate %q, source %q", k, errV, errS)
+		sameStates(t, stV, stS)
+
+		rng := rand.New(rand.NewSource(5))
+		for k := 0; k < 20; k++ {
+			mu := mutate(pr, rng)
+			_, errV := mu.Validate()
+			_, errS := ValidateSource(mu.Spec(), mu.Source())
+			if (errV == nil) != (errS == nil) {
+				t.Fatalf("mutant %d: validate err %v, source err %v", k, errV, errS)
+			}
+			if errV != nil && errV.Error() != errS.Error() {
+				t.Fatalf("mutant %d: validate %q, source %q", k, errV, errS)
+			}
 		}
 	}
 }
@@ -158,6 +160,182 @@ func TestPipeCloseRecvUnblocksProducer(t *testing.T) {
 	if err := <-done; err != ErrPipeClosed {
 		t.Fatalf("want ErrPipeClosed, got %v", err)
 	}
+}
+
+// failingSource yields inner's steps but fails with err in place of step k
+// (counted from 0). calls counts NextStep calls without synchronization,
+// so a test that reads it after DrainAhead returns races, under -race,
+// with a goroutine that still reads the source.
+type failingSource struct {
+	inner StepSource
+	k     int
+	err   error
+	calls int
+}
+
+func (s *failingSource) NextStep() ([]Op, error) {
+	s.calls++
+	if s.calls == s.k+1 {
+		return nil, s.err
+	}
+	return s.inner.NextStep()
+}
+
+// aheadFixture is a protocol that DrainAhead runs ahead (T·n is at least
+// aheadMinPebbles) and whose stream overfills its ring (aheadWindow slots
+// of aheadBatchOps ops), so the core blocks on a full ring while the
+// bookkeeping is still behind: a 3-regular guest of 2048 vertices on the
+// 16-processor torus, T = 2, phase builder.
+func aheadFixture(t *testing.T) *Protocol {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	guest, err := topology.RandomGuest(rng, 2048, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := topology.Torus(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := BuildEmbeddingProtocol(guest, host, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.T*guest.N() < aheadMinPebbles || pr.OpCount() <= aheadWindow*aheadBatchOps {
+		t.Fatalf("the fixture has T·n = %d and %d ops; DrainAhead runs ahead from %d, and the ring holds %d ops",
+			pr.T*guest.N(), pr.OpCount(), aheadMinPebbles, aheadWindow*aheadBatchOps)
+	}
+	return pr
+}
+
+// drainAheadChecked runs DrainAhead's ahead path, whatever the spec's
+// size, and fails unless the goroutine count is back at its level before
+// the call.
+func drainAheadChecked(t *testing.T, sv *StreamValidator, src StepSource, account func([]Op, []bool) error) error {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	err := sv.drainAhead(src, account)
+	checkGoroutines(t, base)
+	return err
+}
+
+// checkGoroutines fails unless the goroutine count is back at base.
+// DrainAhead's goroutine signals its exit as its last act, so the count
+// may lag the signal by the few instructions of the exit itself; the wait
+// allows that and no more than a second.
+func checkGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after DrainAhead returned, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestDrainAheadSourceError: a source that fails at step k ends the drain
+// with its own error after the k steps before it were accounted, and the
+// core reads no step past it.
+func TestDrainAheadSourceError(t *testing.T) {
+	pr := aheadFixture(t)
+	sv, err := NewStreamValidator(pr.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	k := len(pr.Steps) / 2
+	src := &failingSource{inner: pr.Source(), k: k, err: boom}
+	accounted := 0
+	err = drainAheadChecked(t, sv, src, func([]Op, []bool) error {
+		accounted++
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("DrainAhead returned %v, want the source's error", err)
+	}
+	if accounted != k || src.calls != k+1 || sv.Steps() != k {
+		t.Fatalf("accounted %d steps, read %d and validated %d; want %d, %d and %d", accounted, src.calls, sv.Steps(), k, k+1, k)
+	}
+}
+
+// TestDrainAheadAccountError: a bookkeeping error at step j ends the drain
+// with that error, though the core has validated steps past j and later
+// steps are valid.
+func TestDrainAheadAccountError(t *testing.T) {
+	pr := aheadFixture(t)
+	sv, err := NewStreamValidator(pr.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("bookkeeping full")
+	j := len(pr.Steps) / 3
+	accounted := 0
+	err = drainAheadChecked(t, sv, pr.Source(), func([]Op, []bool) error {
+		accounted++
+		if accounted == j+1 {
+			return full
+		}
+		return nil
+	})
+	if err != full {
+		t.Fatalf("DrainAhead returned %v, want the bookkeeping error", err)
+	}
+	if accounted != j+1 || sv.Steps() < j+1 {
+		t.Fatalf("accounted %d steps and validated %d; want %d and at least that", accounted, sv.Steps(), j+1)
+	}
+}
+
+// TestDrainAheadValidationError: a first step that fails validation ends
+// the drain with the core's error before any bookkeeping, the error the
+// inline validator gives.
+func TestDrainAheadValidationError(t *testing.T) {
+	pr := streamFixture(t)
+	bad := &Protocol{Guest: pr.Guest, Host: pr.Host, T: pr.T, Steps: append([][]Op(nil), pr.Steps...)}
+	bad.Steps[0] = append(append([]Op(nil), pr.Steps[0]...), pr.Steps[0][0])
+	inline, err := NewStreamValidator(bad.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drain(bad.Source(), inline)
+	if want == nil {
+		t.Fatal("a step with a processor acting twice passed the inline validator")
+	}
+	sv, err := NewStreamValidator(bad.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accounted := 0
+	err = drainAheadChecked(t, sv, bad.Source(), func([]Op, []bool) error {
+		accounted++
+		return nil
+	})
+	if errText(err) != want.Error() || accounted != 0 {
+		t.Fatalf("DrainAhead returned %q after %d accounted steps, want %q after none", errText(err), accounted, want)
+	}
+}
+
+// panickingSource panics in place of its first step.
+type panickingSource struct{}
+
+func (panickingSource) NextStep() ([]Op, error) { panic("source exploded") }
+
+// TestDrainAheadRaisesPanic: a panic on DrainAhead's goroutine is raised
+// again on the caller's, once that goroutine has exited, so a caller that
+// recovers a validation panic still can.
+func TestDrainAheadRaisesPanic(t *testing.T) {
+	pr := streamFixture(t)
+	sv, err := NewStreamValidator(pr.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	defer func() {
+		if got := recover(); got != "source exploded" {
+			t.Fatalf("recovered %v, want the source's panic", got)
+		}
+		checkGoroutines(t, base)
+	}()
+	_ = sv.drainAhead(panickingSource{}, func([]Op, []bool) error { return nil })
+	t.Fatal("DrainAhead returned instead of panicking")
 }
 
 // TestStreamingBuildersMatchMaterialized pins the refactor invariant: the

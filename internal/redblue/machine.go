@@ -15,7 +15,7 @@ import (
 // slotIDs row, at most R entries. Whether q has had a pebble in red before
 // (which makes a load a reload, and is the only case in which the pebble
 // can still be resident) is derived, not stored: for t ≥ 1 it is the
-// embedded validator's possession (see CostedValidator.AppendStep), and
+// embedded validator's possession (see CostedValidator.account), and
 // only the inputs (P_i, 0), which every processor holds from the start,
 // keep a history table, inputSeen, of m·n bits.
 //

@@ -1,8 +1,6 @@
 package redblue
 
 import (
-	"io"
-
 	"universalnet/internal/obs"
 	"universalnet/internal/pebble"
 )
@@ -45,6 +43,9 @@ type Options struct {
 // construction), then accounted against the Machine — loads for missing
 // operands, a write-through store and a compute charge per Generate. The
 // warm step path is allocation-free; Finish returns the Costs surface.
+// The first error, of validation or of the machine, is sticky: AppendStep
+// and Finish return it from then on, since the machine may hold part of
+// the failed step.
 type CostedValidator struct {
 	sv    *pebble.StreamValidator
 	ma    *Machine
@@ -54,11 +55,7 @@ type CostedValidator struct {
 	tick  int64
 	costs Costs
 	opts  Options
-
-	// held[k] records, for the current step's op k, whether its processor
-	// held the op's pebble before the step; only Generate and Receive ops
-	// read it. Capacity m: a valid step has at most one op per processor.
-	held []bool
+	err   error
 
 	stepIO *obs.Histogram
 }
@@ -74,8 +71,7 @@ func NewCostedValidator(sp pebble.Spec, model CostModel, pol Policy, opts Option
 	if err != nil {
 		return nil, err
 	}
-	cv := &CostedValidator{sv: sv, ma: ma, sp: sp, model: model, pol: pol, opts: opts,
-		held: make([]bool, 0, sp.Host.N())}
+	cv := &CostedValidator{sv: sv, ma: ma, sp: sp, model: model, pol: pol, opts: opts}
 	if opts.Obs != nil {
 		cv.stepIO = opts.Obs.Histogram("redblue.step_io",
 			[]int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
@@ -85,6 +81,23 @@ func NewCostedValidator(sp pebble.Spec, model CostModel, pol Policy, opts Option
 
 // AppendStep validates one host step and charges its red-blue costs. The
 // ops slice is only read during the call.
+func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
+	if cv.err != nil {
+		return cv.err
+	}
+	if err := cv.sv.AppendStep(ops); err != nil {
+		cv.err = err
+		return err
+	}
+	if err := cv.account(ops, cv.sv.HeldBefore()); err != nil {
+		cv.err = err
+		return err
+	}
+	return nil
+}
+
+// account charges one validated step to the machine. held is the
+// validator's HeldBefore for ops.
 //
 // A processor has had a pebble of step t ≥ 1 in red exactly when it holds
 // it: it can only get one by a Generate or a Receive, the machine touches
@@ -92,18 +105,9 @@ func NewCostedValidator(sp pebble.Spec, model CostModel, pol Policy, opts Option
 // gives it to it, and holding never ends. So the reads of a Send and of a
 // Generate's predecessors, which validation guarantees are held, count as
 // had before, and a Receive's pebble or a Generate's output counts as had
-// before when the processor held it before the step, which is read off the
-// validator before it applies the step. A processor does one op per step,
-// so that is also before the op.
-func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
-	cv.held = cv.held[:0]
-	for _, op := range ops {
-		cv.held = append(cv.held, (op.Kind == pebble.Generate || op.Kind == pebble.Receive) &&
-			cv.sv.Holds(op.Proc, op.Pebble))
-	}
-	if err := cv.sv.AppendStep(ops); err != nil {
-		return err
-	}
+// before when the processor held it before the step. A processor does one
+// op per step, so that is also before the op.
+func (cv *CostedValidator) account(ops []pebble.Op, held []bool) error {
 	ioBefore := cv.ma.loads + cv.ma.stores
 	n := cv.sp.Guest.N()
 	for k, op := range ops {
@@ -121,7 +125,7 @@ func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
 					return err
 				}
 			}
-			if err := cv.ma.access(op.Proc, id, true, cv.held[k], tick); err != nil {
+			if err := cv.ma.access(op.Proc, id, true, held[k], tick); err != nil {
 				return err
 			}
 			cv.ma.store(op.Proc, id)
@@ -132,7 +136,7 @@ func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
 				return err
 			}
 		case pebble.Receive:
-			if err := cv.ma.access(op.Proc, id, false, cv.held[k], tick); err != nil {
+			if err := cv.ma.access(op.Proc, id, false, held[k], tick); err != nil {
 				return err
 			}
 		}
@@ -143,9 +147,13 @@ func (cv *CostedValidator) AppendStep(ops []pebble.Op) error {
 }
 
 // Finish runs the base validator's final-generator check and returns the
-// priced outcome.
+// priced outcome, or the first error of the replay.
 func (cv *CostedValidator) Finish() (*Costs, error) {
+	if cv.err != nil {
+		return nil, cv.err
+	}
 	if _, err := cv.sv.Finish(); err != nil {
+		cv.err = err
 		return nil, err
 	}
 	c := cv.costs
@@ -177,23 +185,18 @@ func (cv *CostedValidator) Finish() (*Costs, error) {
 
 // ReplayCosted drains src through a CostedValidator and returns the priced
 // outcome. Source errors are returned verbatim; validation errors match
-// pebble.ValidateSharded byte for byte.
+// pebble.ValidateSharded byte for byte. It drains src through
+// pebble.StreamValidator.DrainAhead, which, for a spec large enough to
+// repay it, runs the validator with the source's decode on a goroutine of
+// its own ahead of the machine; the result and the error are those of an
+// AppendStep loop and Finish.
 func ReplayCosted(sp pebble.Spec, src pebble.StepSource, model CostModel, pol Policy, opts Options) (*Costs, error) {
 	cv, err := NewCostedValidator(sp, model, pol, opts)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		ops, err := src.NextStep()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := cv.AppendStep(ops); err != nil {
-			return nil, err
-		}
+	if err := cv.sv.DrainAhead(src, cv.account); err != nil {
+		return nil, err
 	}
 	return cv.Finish()
 }
