@@ -113,24 +113,13 @@ func (pr *Protocol) OpCount() int {
 //     step (implied by the one-op rule);
 //   - after the last step, every final pebble (P_i, T) was generated.
 //
-// It returns the final state for further analysis. It validates on the
-// caller's goroutine: these are the small protocols that the experiment
-// runner's parallel workers check, where a goroutine per call would buy
-// nothing. ValidateSource gives the same answers from a stream.
+// It returns the final state for further analysis.
 func (pr *Protocol) Validate() (*State, error) {
 	sp := pr.Obs.StartSpan("pebble.validate",
 		obs.KV("host_steps", pr.HostSteps()), obs.KV("guest_steps", pr.T))
 	defer sp.End()
-	if err := checkSpec(pr.Spec()); err != nil {
-		return nil, err
-	}
-	st := NewState(pr.Guest, pr.Host, pr.T)
-	for _, ops := range pr.Steps {
-		if err := st.apply(ops); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := st.sv.Finish(); err != nil {
+	st, err := ValidateSource(pr.Spec(), pr.Source())
+	if err != nil {
 		return nil, err
 	}
 	pr.observeValidate()

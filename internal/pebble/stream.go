@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -163,15 +162,15 @@ func drain(src StepSource, sink StepSink) error {
 // verdicts are StreamValidator's: the same degenerate-spec errors,
 // "pebble: host step N: …" for a rejected step, and the same
 // final-generator check. It drains src through DrainAhead: for a spec of
-// aheadMinPebbles pebbles or more the core validates, with the source's
-// decode, on a goroutine of its own while the caller's goroutine records
-// State's holder and generator lists.
+// stateAheadMinPebbles pebbles or more the core validates, with the
+// source's decode, on a goroutine of its own while the caller's goroutine
+// records State's holder and generator lists.
 func ValidateSource(sp Spec, src StepSource) (*State, error) {
 	if err := checkSpec(sp); err != nil {
 		return nil, err
 	}
 	st := NewState(sp.Guest, sp.Host, sp.T)
-	if err := st.sv.DrainAhead(src, st.record); err != nil {
+	if err := st.sv.DrainAhead(src, stateAheadMinPebbles, st.record); err != nil {
 		return nil, err
 	}
 	if _, err := st.sv.Finish(); err != nil {
@@ -191,20 +190,22 @@ const (
 	aheadBatchOps = 256
 )
 
-// aheadMinPebbles is the fewest pebbles, T·n, for which DrainAhead runs
-// the core ahead; a protocol generates each at least once. A shorter
-// stream does not repay the goroutine and its wake-ups: a red-blue replay
-// of n = 64 at T = 3 (1648 ops) ran about 20% slower ahead than inline.
-const aheadMinPebbles = aheadWindow * aheadBatchOps
+// stateAheadMinPebbles is the fewest pebbles, T·n, for which
+// ValidateSource runs the core ahead of State's lists. Those lists cost
+// little beside the core, so running ahead repays its goroutine and
+// hand-offs only on large specs. Medians of 5 alternating runs on 2 cores,
+// 3-regular guests: on tori of 16 and 64 processors running ahead was
+// 2–131% slower than inline from T·n = 192 to 3072, and from 6144 to
+// 49,152 between 12% faster and 33% slower; on the d = 7 butterfly
+// (m = 896) it was between 24% faster and 3% slower from 8192 to 10⁵, and
+// at perfbench replay's 2·10⁵ a pass took 401 → 362 ms (medians of 6).
+// Narrow-step specs above the gate may run slower: the tori at 49,152
+// read 2–12% slower ahead.
+const stateAheadMinPebbles = 1 << 15
 
 // errAheadPanicked ends DrainAhead's pipe when its goroutine panics; the
 // drain then raises the panic itself.
 var errAheadPanicked = errors.New("pebble: validator goroutine panicked")
-
-// aheadRings keeps DrainAhead's slot buffers from one drain to the next,
-// so that the drains of a sweep, such as uninet redblue's over budgets and
-// policies, grow one ring instead of one each.
-var aheadRings = sync.Pool{New: func() any { return new([aheadWindow]pipeSlot) }}
 
 // DrainAhead validates every step of src and hands each accepted step,
 // with its HeldBefore flags, to account on the caller's goroutine. The
@@ -220,9 +221,11 @@ var aheadRings = sync.Pool{New: func() any { return new([aheadWindow]pipeSlot) }
 // may use the validator, Finish included, and src again afterwards. A
 // panic in src or the core is raised again on the caller's goroutine,
 // where a validation loop's panic would be. A spec of fewer than
-// aheadMinPebbles pebbles is drained inline, in the same order.
-func (sv *StreamValidator) DrainAhead(src StepSource, account func(ops []Op, held []bool) error) error {
-	if sv.v.T*sv.v.n >= aheadMinPebbles {
+// minPebbles pebbles (T·n; a protocol generates each at least once) is
+// drained inline, in the same order: a short stream does not repay the
+// goroutine and its wake-ups.
+func (sv *StreamValidator) DrainAhead(src StepSource, minPebbles int, account func(ops []Op, held []bool) error) error {
+	if sv.v.T*sv.v.n >= minPebbles {
 		return sv.drainAhead(src, account)
 	}
 	for {
@@ -244,8 +247,7 @@ func (sv *StreamValidator) DrainAhead(src StepSource, account func(ops []Op, hel
 
 // drainAhead is DrainAhead with the core on a goroutine of its own.
 func (sv *StreamValidator) drainAhead(src StepSource, account func(ops []Op, held []bool) error) error {
-	ring := aheadRings.Get().(*[aheadWindow]pipeSlot)
-	p := newPipe(ring[:])
+	p := NewPipe(aheadWindow)
 	exited := make(chan struct{})
 	var panicked any
 	go func() {
@@ -260,7 +262,6 @@ func (sv *StreamValidator) drainAhead(src StepSource, account func(ops []Op, hel
 	defer func() {
 		p.CloseRecv()
 		<-exited
-		aheadRings.Put(ring)
 		if panicked != nil {
 			panic(panicked)
 		}
@@ -360,13 +361,12 @@ type Pipe struct {
 
 // NewPipe returns a pipe with the given window (minimum 1) of in-flight
 // steps.
-func NewPipe(window int) *Pipe { return newPipe(make([]pipeSlot, max(window, 1))) }
-
-// newPipe returns a pipe whose ring is slots.
-func newPipe(slots []pipeSlot) *Pipe {
-	window := len(slots)
+func NewPipe(window int) *Pipe {
+	if window < 1 {
+		window = 1
+	}
 	p := &Pipe{
-		slots:  slots,
+		slots:  make([]pipeSlot, window),
 		filled: make(chan int32, window),
 		free:   make(chan int32, window),
 		done:   make(chan struct{}),

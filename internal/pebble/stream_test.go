@@ -69,22 +69,32 @@ func TestTeeSinkDuplicates(t *testing.T) {
 	}
 }
 
-// TestValidateSourceMatchesValidate holds ValidateSource to Protocol.Validate
-// on a spec it drains inline and on one it runs ahead (aheadFixture).
+// TestValidateSourceMatchesValidate holds ValidateSource over a ChunkedLog
+// of the steps, which it decodes as it validates, to Protocol.Validate of
+// the materialized steps, on a spec it drains inline and on one it runs
+// ahead.
 func TestValidateSourceMatchesValidate(t *testing.T) {
-	for _, pr := range []*Protocol{streamFixture(t), aheadFixture(t)} {
+	ahead := aheadFixture(t, stateAheadMinPebbles/2)
+	if ahead.T*ahead.Guest.N() < stateAheadMinPebbles {
+		t.Fatalf("the ahead fixture has T·n = %d; ValidateSource runs ahead from %d", ahead.T*ahead.Guest.N(), stateAheadMinPebbles)
+	}
+	for _, c := range []struct {
+		pr      *Protocol
+		mutants int
+	}{{streamFixture(t), 20}, {ahead, 4}} {
+		pr := c.pr
 		stV, errV := pr.Validate()
-		stS, errS := ValidateSource(pr.Spec(), pr.Source())
+		stS, errS := ValidateSource(pr.Spec(), archive(t, pr))
 		if errV != nil || errS != nil {
 			t.Fatalf("valid protocol rejected: validate %v, source %v", errV, errS)
 		}
 		sameStates(t, stV, stS)
 
 		rng := rand.New(rand.NewSource(5))
-		for k := 0; k < 20; k++ {
+		for k := 0; k < c.mutants; k++ {
 			mu := mutate(pr, rng)
 			_, errV := mu.Validate()
-			_, errS := ValidateSource(mu.Spec(), mu.Source())
+			_, errS := ValidateSource(mu.Spec(), archive(t, mu))
 			if (errV == nil) != (errS == nil) {
 				t.Fatalf("mutant %d: validate err %v, source err %v", k, errV, errS)
 			}
@@ -93,6 +103,17 @@ func TestValidateSourceMatchesValidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// archive returns a source that decodes pr's steps from a ChunkedLog.
+func archive(t *testing.T, pr *Protocol) StepSource {
+	t.Helper()
+	log := NewChunkedLog(ChunkedLogOptions{})
+	t.Cleanup(func() { log.Close() })
+	if err := drain(pr.Source(), log); err != nil {
+		t.Fatal(err)
+	}
+	return log.Source()
 }
 
 func TestPipeStream(t *testing.T) {
@@ -181,15 +202,14 @@ func (s *failingSource) NextStep() ([]Op, error) {
 	return s.inner.NextStep()
 }
 
-// aheadFixture is a protocol that DrainAhead runs ahead (T·n is at least
-// aheadMinPebbles) and whose stream overfills its ring (aheadWindow slots
-// of aheadBatchOps ops), so the core blocks on a full ring while the
-// bookkeeping is still behind: a 3-regular guest of 2048 vertices on the
-// 16-processor torus, T = 2, phase builder.
-func aheadFixture(t *testing.T) *Protocol {
+// aheadFixture is a protocol whose stream overfills DrainAhead's ring
+// (aheadWindow slots of aheadBatchOps ops), so the core blocks on a full
+// ring while the bookkeeping is still behind: a 3-regular guest of n
+// vertices on the 16-processor torus, T = 2, phase builder.
+func aheadFixture(t *testing.T, n int) *Protocol {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	guest, err := topology.RandomGuest(rng, 2048, 3)
+	guest, err := topology.RandomGuest(rng, n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +221,8 @@ func aheadFixture(t *testing.T) *Protocol {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.T*guest.N() < aheadMinPebbles || pr.OpCount() <= aheadWindow*aheadBatchOps {
-		t.Fatalf("the fixture has T·n = %d and %d ops; DrainAhead runs ahead from %d, and the ring holds %d ops",
-			pr.T*guest.N(), pr.OpCount(), aheadMinPebbles, aheadWindow*aheadBatchOps)
+	if pr.OpCount() <= aheadWindow*aheadBatchOps {
+		t.Fatalf("the fixture has %d ops; the ring holds %d", pr.OpCount(), aheadWindow*aheadBatchOps)
 	}
 	return pr
 }
@@ -236,7 +255,7 @@ func checkGoroutines(t *testing.T, base int) {
 // with its own error after the k steps before it were accounted, and the
 // core reads no step past it.
 func TestDrainAheadSourceError(t *testing.T) {
-	pr := aheadFixture(t)
+	pr := aheadFixture(t, 2048)
 	sv, err := NewStreamValidator(pr.Spec())
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +280,7 @@ func TestDrainAheadSourceError(t *testing.T) {
 // with that error, though the core has validated steps past j and later
 // steps are valid.
 func TestDrainAheadAccountError(t *testing.T) {
-	pr := aheadFixture(t)
+	pr := aheadFixture(t, 2048)
 	sv, err := NewStreamValidator(pr.Spec())
 	if err != nil {
 		t.Fatal(err)

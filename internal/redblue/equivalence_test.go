@@ -213,6 +213,9 @@ func TestReplayCostedMatchesAppendStep(t *testing.T) {
 	// on it when the machine fails.
 	big := fixture(t, 1, 2048, 3, 16, 2)
 	bsp := big.Spec()
+	if big.T*big.Guest.N() < aheadMinPebbles {
+		t.Fatalf("the ahead fixture has T·n = %d; ReplayCosted runs ahead from %d", big.T*big.Guest.N(), aheadMinPebbles)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for k := 0; k < 4; k++ {
 		pol := PolicyNames()[k%2]
